@@ -1,16 +1,16 @@
 """Span-aware contextual classifier trained on soft targets.
 
-The pluggable ClassifierModel interface exposes predict (distribution over
-categories) and encode (fixed-dim representation).  The bundled
 ReferenceEncoder is a small trainable stand-in for a large pretrained
 encoder: token embeddings + sinusoidal positions, one scaled dot-product
 self-attention layer, mean-pool over the phrase span (or whole sentence),
 and a linear softmax head.  Gradients are computed analytically in numpy.
+Inference attends over each sentence once and pools all of its phrase spans
+from that pass (`encode_spans`); the pooled vectors are the clustering space.
 """
 
 import json
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -35,9 +35,13 @@ class ClassifierInput:
         if len(self.token_ids) == 0:
             raise ValueError("empty input")
         if self.span is not None:
-            s, e = self.span
-            if not (0 <= s < e <= len(self.token_ids)):
-                raise ValueError(f"span {self.span} out of bounds for length {len(self.token_ids)}")
+            _check_span(self.span, len(self.token_ids))
+
+
+def _check_span(span: tuple[int, int], n: int) -> None:
+    s, e = span
+    if not (0 <= s < e <= n):
+        raise ValueError(f"span {span} out of bounds for length {n}")
 
 
 @dataclass
@@ -54,24 +58,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-
-class ClassifierModel(ABC):
-    """Interface for any categorical phrase/sentence classifier."""
-
-    categories: list[str]
-
-    @property
-    def num_categories(self) -> int:
-        return len(self.categories)
-
-    @abstractmethod
-    def predict(self, inp: ClassifierInput) -> np.ndarray:
-        """Distribution over categories (non-negative, sums to 1)."""
-
-    @abstractmethod
-    def encode(self, inp: ClassifierInput) -> np.ndarray:
-        """Fixed-dimension representation of the (span of the) input."""
 
 
 def token_ids(vocab: Vocabulary, surfaces: list[str]) -> np.ndarray:
@@ -102,7 +88,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class ReferenceEncoder(ClassifierModel):
+class ReferenceEncoder:
     def __init__(self, vocab_size: int, dim: int, categories: list[str], rng_seed: int = 0):
         if dim < 2 or dim % 2:
             raise ValueError("dim must be even and >= 2")
@@ -125,29 +111,44 @@ class ReferenceEncoder(ClassifierModel):
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _forward(self, inp: ClassifierInput):
+    def _attend(self, ids: np.ndarray):
+        """Self-attention over one token sequence: e, q, k, v, att and h."""
         p = self.params
-        ids = inp.token_ids
-        n = len(ids)
-        span = inp.span if inp.span is not None else (0, n)
-        e = p["emb"][ids] + _positions(n, self.dim)
+        e = p["emb"][ids] + _positions(len(ids), self.dim)
         q = e @ p["wq"]
         k = e @ p["wk"]
         v = e @ p["wv"]
         att = _softmax_rows(q @ k.T / np.sqrt(self.dim))
-        h = att @ v
+        return e, q, k, v, att, att @ v
+
+    def _head(self, pooled: np.ndarray) -> np.ndarray:
+        """Category distribution of one pooled vector."""
+        return _softmax_rows(pooled @ self.params["wo"] + self.params["bo"])
+
+    def _forward(self, inp: ClassifierInput):
+        ids = inp.token_ids
+        span = inp.span if inp.span is not None else (0, len(ids))
+        e, q, k, v, att, h = self._attend(ids)
         pooled = h[span[0] : span[1]].mean(axis=0)
-        logits = pooled @ p["wo"] + p["bo"]
-        y = _softmax_rows(logits)
         cache = {"ids": ids, "span": span, "e": e, "q": q, "k": k, "v": v, "att": att, "h": h, "pooled": pooled}
-        return y, cache
+        return self._head(pooled), cache
+
+    def encode_spans(self, ids, spans) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(distribution, pooled vector) of each [start, end) span of one
+        token sequence, from a single attention pass."""
+        h = self._attend(ClassifierInput(ids).token_ids)[-1]
+        out = []
+        for span in spans:
+            _check_span(span, len(h))
+            pooled = h[span[0] : span[1]].mean(axis=0)
+            out.append((self._head(pooled), pooled))
+        return out
 
     def predict(self, inp: ClassifierInput) -> np.ndarray:
         return self._forward(inp)[0]
 
     def encode(self, inp: ClassifierInput) -> np.ndarray:
-        _, cache = self._forward(inp)
-        return cache["pooled"]
+        return self._forward(inp)[1]["pooled"]
 
     def _backward(self, d_logits: np.ndarray, cache: dict, grads: dict) -> None:
         """Accumulate parameter gradients given d(loss)/d(logits)."""
@@ -261,26 +262,36 @@ def finetune_on_phrases(
     return model, _fit(model, items, config)
 
 
+def phrase_span(phrase) -> tuple[int, int]:
+    """The phrase's covering span [min_idx, max_idx+1)."""
+    return (phrase.token_indices[0], phrase.token_indices[-1] + 1)
+
+
 def phrase_input(vocab: Vocabulary, sentence: Sentence, phrase) -> ClassifierInput:
-    """Full sentence plus the phrase's covering span [min_idx, max_idx+1)."""
-    ids = token_ids(vocab, [t.surface for t in sentence.tokens])
-    span = (phrase.token_indices[0], phrase.token_indices[-1] + 1)
-    return ClassifierInput(ids, span)
+    """Full sentence plus the phrase's covering span."""
+    return ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), phrase_span(phrase))
 
 
-def decide(y: np.ndarray, theta2: float, categories: list[str]) -> str | None:
+def encode_phrases(model: ReferenceEncoder, vocab: Vocabulary, sentences: dict, phrases: list):
+    """(distribution, pooled vector) per phrase, in phrase order, from one
+    encoder pass per run of consecutive phrases of one sentence (extraction
+    lists each sentence's phrases together).  `sentences` maps id to Sentence."""
+    out = []
+    for sid, run in groupby(phrases, key=lambda p: p.sentence_id):
+        ids = token_ids(vocab, [t.surface for t in sentences[sid].tokens])
+        out.extend(model.encode_spans(ids, [phrase_span(p) for p in run]))
+    return out
+
+
+def classify_phrase(y: np.ndarray, theta2: float, categories: list[str]) -> str | None:
     """Argmax category if its probability clears theta2, else None.  Exact
     ties resolve to the earliest category in schema order."""
     i = int(np.argmax(y))
     return categories[i] if y[i] >= theta2 else None
 
 
-def classify_phrase(model: ClassifierModel, inp: ClassifierInput, theta2: float) -> str | None:
-    return decide(model.predict(inp), theta2, model.categories)
-
-
-def embed_phrase(model: ClassifierModel, inp: ClassifierInput) -> np.ndarray:
-    return model.encode(inp)
+def _array_layout(model: ReferenceEncoder) -> list:
+    return [[name, list(model.params[name].shape)] for name in _PARAM_ORDER]
 
 
 def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha256: str = "") -> None:
@@ -293,7 +304,7 @@ def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha
         "categories": model.categories,
         "schema_sha256": schema_sha256,
         "rng_seed": rng_seed,
-        "arrays": [[name, list(model.params[name].shape)] for name in _PARAM_ORDER],
+        "arrays": _array_layout(model),
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
@@ -308,6 +319,8 @@ def load_checkpoint(path) -> ReferenceEncoder:
             raise ValueError(f"{path}: not a classifier checkpoint")
         raw = f.read()
     model = ReferenceEncoder(header["vocab_size"], header["dim"], header["categories"])
+    if header.get("arrays") != _array_layout(model):
+        raise ValueError(f"{path}: arrays {header.get('arrays')} are not the expected {_array_layout(model)}")
     offset = 0
     for name, shape in header["arrays"]:
         size = int(np.prod(shape)) * 4
@@ -319,8 +332,3 @@ def load_checkpoint(path) -> ReferenceEncoder:
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
     return model
-
-
-def checkpoint_schema_sha256(path) -> str:
-    with open(path, "rb") as f:
-        return json.loads(f.readline()).get("schema_sha256", "")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import CorpusError
 from .evaluation import IntrusionSet, classification_metrics, coherence_score, diversity, make_intrusion_set
-from .pipeline import PipelineConfig, StageError, ValidationError, run_pipeline, run_stage
+from .pipeline import STAGES, PipelineConfig, StageError, ValidationError, run_pipeline, run_stage
 from .synthetic import SyntheticSpec, generate_synthetic
 
 log = logging.getLogger("opinionsum")
@@ -32,7 +32,6 @@ _FLAG_MAP = {
     "sentiment_schema": ("sentiment_schema",),
     "workdir": ("workdir",),
     "seed": ("seed",),
-    "thread_count": ("thread_count",),
     "min_count": ("min_count",),
     "encoder_dim": ("encoder_dim",),
     "dim": ("embed", "dim"),
@@ -69,7 +68,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--sentiment-schema", dest="sentiment_schema")
     p.add_argument("--workdir")
     p.add_argument("--seed", type=int)
-    p.add_argument("--thread-count", dest="thread_count", type=int)
     p.add_argument("--min-count", dest="min_count", type=int)
     p.add_argument("--encoder-dim", dest="encoder_dim", type=int)
     p.add_argument("--dim", type=int, help="embedding dimension")
@@ -96,7 +94,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         path = Path(args.config)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+            if not isinstance(data, dict):
+                raise ValidationError(f"expected a JSON object, got {type(data).__name__}")
+            PipelineConfig.from_dict(data)  # so that a bad key or value names the file
+        except ValueError as exc:
+            raise ValidationError(f"config file {path}: {exc}") from None
     if os.environ.get(_SEED_ENV):
         data["seed"] = int(os.environ[_SEED_ENV])
     for dest, keys in _FLAG_MAP.items():
@@ -255,18 +259,6 @@ def _cmd_eval_intrusion_score(args) -> int:
     return 0
 
 
-_STAGE_NAMES = (
-    "extract",
-    "train-embed",
-    "pseudo-label",
-    "train-classifier",
-    "phrase-labels",
-    "finetune-phrases",
-    "classify",
-    "cluster",
-)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opinionsum", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -277,7 +269,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--force", action="store_true", help="re-run all stages")
     p_run.set_defaults(handler=_cmd_run)
 
-    for name in _STAGE_NAMES:
+    for name in [s.name for s in STAGES if s.name != "summarize"]:
         p = sub.add_parser(name, help=f"run the {name} stage")
         _add_config_flags(p)
         p.set_defaults(handler=_cmd_stage(name))

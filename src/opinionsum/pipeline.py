@@ -10,18 +10,19 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .classifier import (
     ReferenceEncoder,
     TrainConfig,
     classify_phrase,
-    embed_phrase,
+    encode_phrases,
     finetune_on_phrases,
     load_checkpoint,
-    phrase_input,
     save_checkpoint,
     train_on_sentences,
 )
@@ -60,7 +61,6 @@ class PipelineConfig:
     sentiment_schema: str = ""
     workdir: str = "work"
     seed: int = 0
-    thread_count: int = 0
     min_count: int = 1
     encoder_dim: int = 32
     embed: EmbedConfig = field(default_factory=EmbedConfig)
@@ -70,21 +70,18 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        kwargs = {}
-        for name, sub in (("embed", EmbedConfig), ("distill", DistillConfig),
-                          ("train", TrainConfig), ("cluster", ClusterConfig)):
-            if name in data:
-                try:
-                    kwargs[name] = sub(**data.pop(name))
-                except TypeError as exc:
-                    raise ValidationError(f"bad {name} config: {exc}") from None
-        known = {"corpus", "trees", "aspect_schema", "sentiment_schema", "workdir",
-                 "seed", "thread_count", "min_count", "encoder_dim"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs.update(data)
+        kwargs = dict(data)
+        for f in fields(cls):
+            if is_dataclass(f.type) and f.name in data:
+                try:
+                    kwargs[f.name] = f.type(**data[f.name])
+                except TypeError as exc:
+                    raise ValidationError(f"bad {f.name} config: {exc}") from None
+                _check_types(f.type, data[f.name], f"{f.name}.")
+        _check_types(cls, kwargs, "")
         return cls(**kwargs)
 
     def validate(self):
@@ -103,8 +100,6 @@ class PipelineConfig:
             raise ValidationError("missing input paths: " + "; ".join(missing))
         if not self.workdir:
             raise ValidationError("workdir not set")
-        if self.thread_count < 0:
-            raise ValidationError("thread_count must be >= 0")
         if self.min_count < 1:
             raise ValidationError("min_count must be >= 1")
         if self.encoder_dim < 2 or self.encoder_dim % 2:
@@ -119,6 +114,16 @@ class PipelineConfig:
 
     def schema_path(self, kind: str) -> str:
         return self.aspect_schema if kind == "aspect" else self.sentiment_schema
+
+
+def _check_types(cls, data: dict, prefix: str) -> None:
+    """Reject a value that does not fit its dataclass field (an int fits a float)."""
+    for f in fields(cls):
+        allowed = typing.get_args(f.type) or (f.type,)
+        allowed += (int,) if float in allowed else ()
+        if f.name in data and (isinstance(data[f.name], bool) or not isinstance(data[f.name], allowed)):
+            want = " or ".join(t.__name__ for t in allowed)
+            raise ValidationError(f"{prefix}{f.name} must be {want}, got {data[f.name]!r}")
 
 
 def seed_for(base: int, *tags: str) -> int:
@@ -139,11 +144,10 @@ def _atomic_save(path: Path, saver):
     os.replace(tmp, path)
 
 
-def _map(fn, items, thread_count: int):
-    if thread_count > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+def _save_npy(path: Path, array: np.ndarray):
+    # through a file handle: np.save appends ".npy" to a path not ending in it
+    with open(path, "wb") as f:
+        np.save(f, array)
 
 
 def _read_jsonl(path: Path, parse):
@@ -166,7 +170,7 @@ def _run_extract(cfg: PipelineConfig):
     for kind in _KINDS:
         keep.extend(load_schema(cfg.schema_path(kind), kind).all_keywords())
     vocab = build_vocab(sentences, cfg.min_count, keep=keep)
-    phrase_lists = _map(extract_candidates, sentences, cfg.thread_count)
+    phrase_lists = [extract_candidates(s) for s in sentences]
     _atomic_save(w / "corpus.jsonl", lambda p: save_manifest(sentences, p))
     _atomic_save(w / "vocab.txt", vocab.save)
     lines = [phrase_to_json(p) for phrases in phrase_lists for p in phrases]
@@ -220,31 +224,27 @@ def _run_train_classifier(cfg: PipelineConfig):
         )
 
 
-def _phrases_and_sentences(w: Path):
+def _phrase_inputs(w: Path):
     sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
     phrases = _read_jsonl(w / "phrases.jsonl", phrase_from_json)
-    return sentences, phrases
+    return sentences, phrases, Vocabulary.load(w / "vocab.txt")
 
 
 def _run_phrase_labels(cfg: PipelineConfig):
     w = _workdir(cfg)
-    vocab = Vocabulary.load(w / "vocab.txt")
-    sentences, phrases = _phrases_and_sentences(w)
+    sentences, phrases, vocab = _phrase_inputs(w)
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.txt")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-
-        def label_one(phrase):
-            sent = sentences[phrase.sentence_id]
-            y = model.predict(phrase_input(vocab, sent, phrase))
-            words = [sent.tokens[i].surface for i in phrase.token_indices]
+        labels = []
+        for phrase, (y, _) in zip(phrases, encode_phrases(model, vocab, sentences, phrases)):
+            tokens = sentences[phrase.sentence_id].tokens
             try:
-                sim = phrase_similarity(space, words)
+                sim = phrase_similarity(space, [tokens[i].surface for i in phrase.token_indices])
             except ValueError:
-                return PseudoPhraseLabel.excluded(phrase.id)  # no in-vocab token
-            return joint_agreement_label(phrase.id, y, sim, cfg.distill)
-
-        labels = _map(label_one, phrases, cfg.thread_count)
+                labels.append(PseudoPhraseLabel.excluded(phrase.id))  # no in-vocab token
+                continue
+            labels.append(joint_agreement_label(phrase.id, y, sim, cfg.distill))
         _atomic_write_text(
             w / f"phrase_labels_{kind}.jsonl",
             "\n".join(l.to_json() for l in labels) + ("\n" if labels else ""),
@@ -253,8 +253,7 @@ def _run_phrase_labels(cfg: PipelineConfig):
 
 def _run_finetune(cfg: PipelineConfig):
     w = _workdir(cfg)
-    vocab = Vocabulary.load(w / "vocab.txt")
-    sentences, phrases = _phrases_and_sentences(w)
+    sentences, phrases, vocab = _phrase_inputs(w)
     by_id = {p.id: p for p in phrases}
     for kind in _KINDS:
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
@@ -271,49 +270,48 @@ def _run_finetune(cfg: PipelineConfig):
 
 def _run_classify(cfg: PipelineConfig):
     w = _workdir(cfg)
-    vocab = Vocabulary.load(w / "vocab.txt")
-    sentences, phrases = _phrases_and_sentences(w)
-    models = {kind: load_checkpoint(w / f"classifier_{kind}_ft.ckpt") for kind in _KINDS}
-
-    def classify_one(phrase):
-        sent = sentences[phrase.sentence_id]
-        inp = phrase_input(vocab, sent, phrase)
-        row = {
+    sentences, phrases, vocab = _phrase_inputs(w)
+    rows = [
+        {
             "phrase_id": phrase.id,
             "sentence_id": phrase.sentence_id,
-            "target_id": sent.target_id,
+            "target_id": sentences[phrase.sentence_id].target_id,
             "surface": phrase.surface,
         }
-        for kind in _KINDS:
-            row[kind] = classify_phrase(models[kind], inp, cfg.distill.theta2)
-        return json.dumps(row, sort_keys=True)
-
-    lines = _map(classify_one, phrases, cfg.thread_count)
+        for phrase in phrases
+    ]
+    for kind in _KINDS:
+        model = load_checkpoint(w / f"classifier_{kind}_ft.ckpt")
+        encoded = encode_phrases(model, vocab, sentences, phrases)
+        for row, (y, _) in zip(rows, encoded):
+            row[kind] = classify_phrase(y, cfg.distill.theta2, model.categories)
+        if kind == "aspect":
+            # the aspect model's pooled vectors are the clustering space
+            vectors = np.array([v for _, v in encoded], dtype=np.float64).reshape(len(phrases), model.dim)
+            _atomic_save(w / "phrase_vectors.npy", lambda p: _save_npy(p, vectors))
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
     _atomic_write_text(w / "classified.jsonl", "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _run_cluster(cfg: PipelineConfig):
     w = _workdir(cfg)
-    vocab = Vocabulary.load(w / "vocab.txt")
-    sentences, phrases = _phrases_and_sentences(w)
+    phrases = _read_jsonl(w / "phrases.jsonl", phrase_from_json)
     rows = _read_jsonl(w / "classified.jsonl", json.loads)
     labels = {r["phrase_id"]: r for r in rows}
-    model = load_checkpoint(w / "classifier_aspect_ft.ckpt")
+    vectors = np.load(w / "phrase_vectors.npy")
+    if len(vectors) != len(phrases):
+        raise ValueError(
+            f"{w / 'phrase_vectors.npy'}: {len(vectors)} rows for {len(phrases)} phrases in phrases.jsonl"
+        )
+    embeddings = {phrase.id: vec for phrase, vec in zip(phrases, vectors)}
 
-    by_target: dict[str, list] = {}
+    by_target: dict[str, list] = {}  # build_summary leaves out rejected phrases
     for phrase in phrases:
-        row = labels[phrase.id]
-        if row["aspect"] is None or row["sentiment"] is None:
-            continue
-        by_target.setdefault(row["target_id"], []).append(phrase)
+        by_target.setdefault(labels[phrase.id]["target_id"], []).append(phrase)
 
     out_lines = []
     for target in sorted(by_target):
         members = by_target[target]
-        embeddings = {
-            p.id: embed_phrase(model, phrase_input(vocab, sentences[p.sentence_id], p))
-            for p in members
-        }
         summary = build_summary(
             target,
             members,
@@ -415,7 +413,8 @@ STAGES = (
     ),
     _Stage(
         "classify",
-        ("classified.jsonl",),
+        # the last artifact is the one a downstream StageError names as last good
+        ("phrase_vectors.npy", "classified.jsonl"),
         lambda c: {"theta2": c.distill.theta2},
         _run_classify,
     ),

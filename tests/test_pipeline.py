@@ -1,8 +1,11 @@
 """Pipeline orchestration: artifacts, resumability, determinism, errors."""
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opinionsum.classifier import TrainConfig
@@ -14,6 +17,7 @@ from opinionsum.pipeline import (
     StageError,
     ValidationError,
     run_pipeline,
+    run_stage,
     seed_for,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
@@ -102,6 +106,50 @@ class TestFullRun:
         assert not np.array_equal(aspect.params["emb"], sentiment.params["emb"])
 
 
+class TestPhraseVectors:
+    def test_rows_are_finetuned_aspect_encodings(self, ran):
+        from opinionsum.classifier import load_checkpoint, phrase_input
+        from opinionsum.corpus import Vocabulary, load_manifest
+        from opinionsum.extraction import phrase_from_json
+
+        cfg, _ = ran
+        w = Path(cfg.workdir)
+        vectors = np.load(w / "phrase_vectors.npy")
+        phrases = [phrase_from_json(l) for l in open(w / "phrases.jsonl") if l.strip()]
+        sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
+        vocab = Vocabulary.load(w / "vocab.txt")
+        model = load_checkpoint(w / "classifier_aspect_ft.ckpt")
+        assert vectors.dtype == np.float64
+        assert vectors.shape == (len(phrases), cfg.encoder_dim)
+        for row, phrase in zip(vectors, phrases):
+            expect = model.encode(phrase_input(vocab, sentences[phrase.sentence_id], phrase))
+            assert np.array_equal(row, expect)
+
+    def _copy(self, cfg, dest):
+        shutil.copytree(cfg.workdir, dest)
+        return dataclasses.replace(cfg, workdir=str(dest))
+
+    def test_cluster_reads_only_phrases_labels_and_vectors(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = self._copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        expect = (w / "clusters.jsonl").read_bytes()
+        keep = {"phrases.jsonl", "classified.jsonl", "phrase_vectors.npy"}
+        for f in w.iterdir():
+            if f.is_file() and f.name not in keep:
+                f.unlink()
+        run_stage(copy, "cluster")
+        assert (w / "clusters.jsonl").read_bytes() == expect
+
+    def test_cluster_rejects_row_count_mismatch(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = self._copy(cfg, tmp_path / "work")
+        path = Path(copy.workdir) / "phrase_vectors.npy"
+        np.save(path, np.load(path)[:-1])
+        with pytest.raises(ValueError, match="phrase_vectors.npy"):
+            run_stage(copy, "cluster")
+
+
 class TestResume:
     def test_second_run_skips_everything(self, ran):
         cfg, _ = ran
@@ -118,8 +166,6 @@ class TestResume:
 
     def test_param_change_invalidates_downstream_only(self, ran):
         cfg, _ = ran
-        import dataclasses
-
         changed = dataclasses.replace(cfg, cluster=ClusterConfig(threshold=3.0))
         report = run_pipeline(changed)
         assert report["cluster"] == "ran" and report["summarize"] == "ran"
