@@ -314,9 +314,15 @@ def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha
 
 def load_checkpoint(path) -> ReferenceEncoder:
     with open(path, "rb") as f:
-        header = json.loads(f.readline())
-        if header.get("format") != "refenc-v1":
+        try:
+            header = json.loads(f.readline())
+        except ValueError:  # not JSON, or not text
+            header = None
+        if not isinstance(header, dict) or header.get("format") != "refenc-v1":
             raise ValueError(f"{path}: not a classifier checkpoint")
+        missing = [key for key in ("vocab_size", "dim", "categories") if key not in header]
+        if missing:
+            raise ValueError(f"{path}: checkpoint header lacks {missing}")
         raw = f.read()
     model = ReferenceEncoder(header["vocab_size"], header["dim"], header["categories"])
     if header.get("arrays") != _array_layout(model):

@@ -7,8 +7,7 @@ stopping rule guarantees every intra-cluster pairwise Euclidean distance
 stays within the threshold.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +26,6 @@ class ClusterConfig:
             raise ValueError(f"linkage must be one of {_LINKAGES}")
 
 
-@dataclass
-class OpinionCluster:
-    aspect: str
-    sentiment: str
-    members: list[str]  # phrase ids, ascending
-
-
-@dataclass
-class OpinionSummary:
-    target_id: str
-    groups: dict[tuple[str, str], list[OpinionCluster]] = field(default_factory=dict)
-
-
 def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> list[list[str]]:
     """Cluster (id, vector) points; returns member-id lists.
 
@@ -49,7 +35,8 @@ def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> 
     points are processed in id order and distance ties break on the pair
     with the lexicographically smallest min-member-id keys, so permuting
     the input cannot change the partition.  Clusters come back ordered by
-    smallest member id, members ascending.
+    smallest member id, members ascending.  Memory beyond the input is the
+    n x n linkage matrix.
     """
     config.validate()
     if not points:
@@ -58,30 +45,27 @@ def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> 
     ids = [pid for pid, _ in points]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate point ids")
-    vecs = np.vstack([np.asarray(v, dtype=float) for _, v in points])
-    if any(len(np.asarray(v).ravel()) != vecs.shape[1] for _, v in points):
+    rows = [np.asarray(v, dtype=float).ravel() for _, v in points]
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("dimension mismatch among points")
+    vecs = np.vstack(rows)
     n = len(ids)
 
-    diff = vecs[:, None, :] - vecs[None, :, :]
-    link = np.sqrt(np.sum(diff * diff, axis=2))
+    link = np.empty((n, n))
+    for a in range(n):
+        diff = vecs[a] - vecs
+        link[a] = np.sqrt(np.sum(diff * diff, axis=1))
     np.fill_diagonal(link, np.inf)
 
-    members: list[list[int] | None] = [[i] for i in range(n)]
+    # Invariant: ids are sorted and each merge folds j into i < j, so the row
+    # of an active cluster is its smallest member.  The first minimum in
+    # row-major order is therefore the smallest min-member-id pair, with i < j.
+    label = np.arange(n)
     sizes = np.ones(n)
-    remaining = n
-    while remaining > 1:
-        m = link.min()
-        if m > config.threshold:
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(link)), n)
+        if link[i, j] > config.threshold:
             break
-        best = None
-        for a, b in np.argwhere(link == m):
-            if a >= b:
-                continue
-            lo, hi = sorted((ids[members[a][0]], ids[members[b][0]]))
-            if best is None or (lo, hi) < best[0]:
-                best = ((lo, hi), int(a), int(b))
-        _, i, j = best
         if config.linkage == "complete":
             row = np.maximum(link[i], link[j])
         elif config.linkage == "single":
@@ -93,27 +77,24 @@ def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> 
         link[:, i] = row
         link[j, :] = np.inf
         link[:, j] = np.inf
-        members[i] = sorted(members[i] + members[j])
-        members[j] = None
+        label[label == j] = i
         sizes[i] += sizes[j]
-        remaining -= 1
 
-    clusters = sorted((c for c in members if c is not None), key=lambda c: ids[c[0]])
-    return [[ids[k] for k in c] for c in clusters]
+    return [[ids[k] for k in np.flatnonzero(label == r)] for r in np.unique(label)]
 
 
 def build_summary(
-    target_id: str,
     phrases,
     aspect_labels: dict,
     sentiment_labels: dict,
     embeddings: dict,
     config: ClusterConfig,
-) -> OpinionSummary:
-    """Group a target's phrases by (aspect, sentiment) and cluster each group.
+) -> dict[tuple[str, str], list[list[str]]]:
+    """Group phrases by (aspect, sentiment) and cluster each group.
 
-    Phrases labeled None in either schema are excluded.  Clusters are ordered
-    by size descending (ties by smallest member id), members by phrase id.
+    Returns {(aspect, sentiment): [member-id lists]}, keys sorted.  Phrases
+    labeled None in either schema are excluded.  Clusters are ordered by
+    size descending (ties by smallest member id), members by phrase id.
     """
     groups: dict[tuple[str, str], list] = {}
     for phrase in phrases:
@@ -123,30 +104,8 @@ def build_summary(
             continue
         groups.setdefault((aspect, sentiment), []).append(phrase)
 
-    summary = OpinionSummary(target_id)
+    summary = {}
     for key in sorted(groups):
-        aspect, sentiment = key
-        pts = [(p.id, embeddings[p.id]) for p in groups[key]]
-        parts = agglomerate(pts, config)
-        parts.sort(key=lambda members: (-len(members), members[0]))
-        summary.groups[key] = [OpinionCluster(aspect, sentiment, members) for members in parts]
+        parts = agglomerate([(p.id, embeddings[p.id]) for p in groups[key]], config)
+        summary[key] = sorted(parts, key=lambda members: (-len(members), members[0]))
     return summary
-
-
-def summary_to_json(summaries: list[OpinionSummary], surfaces: dict) -> str:
-    """Spec'd output shape: target -> {"aspect|sentiment": [clusters]}."""
-    out = {}
-    for summary in summaries:
-        per_target = {}
-        for (aspect, sentiment), clusters in sorted(summary.groups.items()):
-            entries = []
-            for k, cluster in enumerate(clusters):
-                entries.append(
-                    {
-                        "cluster_id": f"{summary.target_id}/{aspect}|{sentiment}/{k:03d}",
-                        "phrases": [surfaces[pid] for pid in cluster.members],
-                    }
-                )
-            per_target[f"{aspect}|{sentiment}"] = entries
-        out[summary.target_id] = per_target
-    return json.dumps(out, sort_keys=True, indent=2)

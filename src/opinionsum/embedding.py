@@ -472,18 +472,22 @@ def save_space(space: SphereSpace, path) -> None:
 def load_space(path) -> SphereSpace:
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
+        if len(header) < 6:
+            raise ValueError(f"{path}:1: header has {len(header)} fields, expected 6")
         dim, n_words, n_sents, n_cats = (int(x) for x in header[:4])
         m_inter, m_intra = float(header[4]), float(header[5])
         names: dict[str, list[str]] = {"word": [], "sent": [], "cat": []}
         rows: dict[str, list[np.ndarray]] = {"word": [], "sent": [], "cat": []}
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: row has no id")
             kind, name = parts[0], parts[1]
             vec = np.asarray([float(x) for x in parts[2:]])
             if kind not in names or len(vec) != dim:
-                raise ValueError(f"{path}: bad row for {name!r}")
+                raise ValueError(f"{path}:{lineno}: bad row for {name!r}")
             names[kind].append(name)
             rows[kind].append(vec)
     if (len(names["word"]), len(names["sent"]), len(names["cat"])) != (n_words, n_sents, n_cats):

@@ -26,7 +26,7 @@ from .classifier import (
     save_checkpoint,
     train_on_sentences,
 )
-from .clustering import ClusterConfig, OpinionCluster, OpinionSummary, build_summary, summary_to_json
+from .clustering import ClusterConfig, build_summary
 from .corpus import Vocabulary, build_vocab, load_corpus, load_manifest, load_schema, save_manifest
 from .distill import (
     DistillConfig,
@@ -41,6 +41,7 @@ from .extraction import extract_candidates, phrase_from_json, phrase_to_json
 log = logging.getLogger("opinionsum")
 
 _KINDS = ("aspect", "sentiment")
+_INPUT_FIELDS = ("corpus", "trees", "aspect_schema", "sentiment_schema")
 
 
 class ValidationError(ValueError):
@@ -86,12 +87,8 @@ class PipelineConfig:
 
     def validate(self):
         missing = []
-        for label, path in (
-            ("corpus", self.corpus),
-            ("trees", self.trees),
-            ("aspect_schema", self.aspect_schema),
-            ("sentiment_schema", self.sentiment_schema),
-        ):
+        for label in _INPUT_FIELDS:
+            path = getattr(self, label)
             if label == "trees" and path is None:
                 continue
             if not path or not Path(path).exists():
@@ -131,17 +128,16 @@ def seed_for(base: int, *tags: str) -> int:
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:4], "little")
 
 
-def _atomic_write_text(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _atomic_save(path: Path, saver):
     """Run saver(tmp_path), then rename over the target."""
     tmp = path.with_name(path.name + ".tmp")
     saver(tmp)
     os.replace(tmp, path)
+
+
+def _write_lines(path: Path, lines):
+    """Write each line followed by a newline, atomically."""
+    _atomic_save(path, lambda p: p.write_text("".join(line + "\n" for line in lines), encoding="utf-8"))
 
 
 def _save_npy(path: Path, array: np.ndarray):
@@ -173,8 +169,7 @@ def _run_extract(cfg: PipelineConfig):
     phrase_lists = [extract_candidates(s) for s in sentences]
     _atomic_save(w / "corpus.jsonl", lambda p: save_manifest(sentences, p))
     _atomic_save(w / "vocab.txt", vocab.save)
-    lines = [phrase_to_json(p) for phrases in phrase_lists for p in phrases]
-    _atomic_write_text(w / "phrases.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(w / "phrases.jsonl", [phrase_to_json(p) for phrases in phrase_lists for p in phrases])
 
 
 def _run_train_embed(cfg: PipelineConfig):
@@ -197,10 +192,7 @@ def _run_pseudo_label(cfg: PipelineConfig):
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.txt")
         labels = pseudo_sentence_labels(space, space.sent_ids, cfg.distill)
-        _atomic_write_text(
-            w / f"pseudo_sentences_{kind}.jsonl",
-            "\n".join(l.to_json() for l in labels) + ("\n" if labels else ""),
-        )
+        _write_lines(w / f"pseudo_sentences_{kind}.jsonl", [l.to_json() for l in labels])
 
 
 def _run_train_classifier(cfg: PipelineConfig):
@@ -245,10 +237,7 @@ def _run_phrase_labels(cfg: PipelineConfig):
                 labels.append(PseudoPhraseLabel.excluded(phrase.id))  # no in-vocab token
                 continue
             labels.append(joint_agreement_label(phrase.id, y, sim, cfg.distill))
-        _atomic_write_text(
-            w / f"phrase_labels_{kind}.jsonl",
-            "\n".join(l.to_json() for l in labels) + ("\n" if labels else ""),
-        )
+        _write_lines(w / f"phrase_labels_{kind}.jsonl", [l.to_json() for l in labels])
 
 
 def _run_finetune(cfg: PipelineConfig):
@@ -289,8 +278,7 @@ def _run_classify(cfg: PipelineConfig):
             # the aspect model's pooled vectors are the clustering space
             vectors = np.array([v for _, v in encoded], dtype=np.float64).reshape(len(phrases), model.dim)
             _atomic_save(w / "phrase_vectors.npy", lambda p: _save_npy(p, vectors))
-    lines = [json.dumps(row, sort_keys=True) for row in rows]
-    _atomic_write_text(w / "classified.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(w / "classified.jsonl", [json.dumps(row, sort_keys=True) for row in rows])
 
 
 def _run_cluster(cfg: PipelineConfig):
@@ -313,28 +301,23 @@ def _run_cluster(cfg: PipelineConfig):
     for target in sorted(by_target):
         members = by_target[target]
         summary = build_summary(
-            target,
             members,
             {p.id: labels[p.id]["aspect"] for p in members},
             {p.id: labels[p.id]["sentiment"] for p in members},
             embeddings,
             cfg.cluster,
         )
-        for (aspect, sentiment), clusters in sorted(summary.groups.items()):
-            for k, cl in enumerate(clusters):
-                out_lines.append(
-                    json.dumps(
-                        {
-                            "target_id": target,
-                            "aspect": aspect,
-                            "sentiment": sentiment,
-                            "cluster_id": f"{target}/{aspect}|{sentiment}/{k:03d}",
-                            "members": cl.members,
-                        },
-                        sort_keys=True,
-                    )
-                )
-    _atomic_write_text(w / "clusters.jsonl", "\n".join(out_lines) + ("\n" if out_lines else ""))
+        for (aspect, sentiment), clusters in summary.items():
+            for k, cluster in enumerate(clusters):
+                row = {
+                    "target_id": target,
+                    "aspect": aspect,
+                    "sentiment": sentiment,
+                    "cluster_id": f"{target}/{aspect}|{sentiment}/{k:03d}",
+                    "members": cluster,
+                }
+                out_lines.append(json.dumps(row, sort_keys=True))
+    _write_lines(w / "clusters.jsonl", out_lines)
 
 
 def _run_summarize(cfg: PipelineConfig):
@@ -342,15 +325,12 @@ def _run_summarize(cfg: PipelineConfig):
     rows = _read_jsonl(w / "clusters.jsonl", json.loads)
     classified = _read_jsonl(w / "classified.jsonl", json.loads)
     surfaces = {r["phrase_id"]: r["surface"] for r in classified}
-    summaries: dict[str, OpinionSummary] = {}
+    # target -> {"aspect|sentiment": [clusters in clusters.jsonl order]}
+    out: dict[str, dict[str, list]] = {}
     for row in rows:
-        summary = summaries.setdefault(row["target_id"], OpinionSummary(row["target_id"]))
-        key = (row["aspect"], row["sentiment"])
-        summary.groups.setdefault(key, []).append(
-            OpinionCluster(row["aspect"], row["sentiment"], row["members"])
-        )
-    text = summary_to_json([summaries[t] for t in sorted(summaries)], surfaces)
-    _atomic_write_text(w / "summary.json", text + "\n")
+        group = out.setdefault(row["target_id"], {}).setdefault(f"{row['aspect']}|{row['sentiment']}", [])
+        group.append({"cluster_id": row["cluster_id"], "phrases": [surfaces[p] for p in row["members"]]})
+    _write_lines(w / "summary.json", [json.dumps(out, sort_keys=True, indent=2)])
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +343,12 @@ class _Stage:
     artifacts: tuple[str, ...]
     params: object  # cfg -> dict
     run: object  # cfg -> None
-    inputs: object = None  # cfg -> list of external paths
+    inputs: object = None  # cfg -> {config field: external path}
 
 
-def _input_paths(cfg: PipelineConfig):
-    paths = [cfg.corpus, cfg.aspect_schema, cfg.sentiment_schema]
-    if cfg.trees:
-        paths.append(cfg.trees)
-    return paths
+def _input_paths(cfg: PipelineConfig) -> dict[str, str]:
+    """External inputs keyed by config field, so their location stays out of the hash."""
+    return {name: getattr(cfg, name) for name in _INPUT_FIELDS if getattr(cfg, name)}
 
 
 STAGES = (
@@ -444,7 +422,7 @@ def _file_digest(path) -> str:
 def _stage_hash(stage: _Stage, cfg: PipelineConfig, upstream: str) -> str:
     payload = {"stage": stage.name, "params": stage.params(cfg), "upstream": upstream}
     if stage.inputs is not None:
-        payload["inputs"] = {str(p): _file_digest(p) for p in stage.inputs(cfg)}
+        payload["inputs"] = {name: _file_digest(p) for name, p in stage.inputs(cfg).items()}
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

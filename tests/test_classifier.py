@@ -371,6 +371,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="wide.ckpt"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["dim", "vocab_size", "categories"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "nokey.ckpt"
+        save_checkpoint(_model(), path)
+        self._rewrite_header(path, lambda header, blocks: header.pop(key))
+        with pytest.raises(ValueError, match=f"nokey.ckpt.*{key}"):
+            load_checkpoint(path)
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.ckpt"
+        path.write_bytes(b'["refenc-v1", 4]\n')
+        with pytest.raises(ValueError, match="list.ckpt"):
+            load_checkpoint(path)
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = tmp_path / "binary.ckpt"
+        path.write_bytes(b"\x00\x01junk\n")
+        with pytest.raises(ValueError, match="binary.ckpt"):
+            load_checkpoint(path)
+
     def test_unk_tokens_map_to_reserved_id(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)

@@ -1,5 +1,7 @@
 """Agglomerative clustering and summary assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ from util import naive_agglomerate
 
 def _points(rng, n, dim=5, scale=10.0):
     return [(f"p{i:03d}", rng.uniform(-scale, scale, size=dim)) for i in range(n)]
+
+
+def _lattice_points(rng, n, dim=2, side=4):
+    """Integer grid points: many exactly equal distances and repeated points."""
+    return [(f"p{i:03d}", rng.integers(0, side, size=dim).astype(float)) for i in range(n)]
+
+
+def _duplicate_points(rng, n, dim=3):
+    """Each vector is one of about n/4 random vectors, so zero distances tie."""
+    base = rng.uniform(-5, 5, size=(max(1, n // 4), dim))
+    return [(f"p{i:03d}", base[k]) for i, k in enumerate(rng.integers(0, len(base), size=n))]
 
 
 class TestAgglomerate:
@@ -43,6 +56,30 @@ class TestAgglomerate:
             t = float(rng.uniform(3, 20))
             config = ClusterConfig(threshold=t)
             assert agglomerate(points, config) == naive_agglomerate(points, t)
+        # Tie-free random points under every linkage; tie-heavy points under
+        # complete and single only: the reference recomputes average-linkage
+        # means, whose rounding can break an exact tie the update keeps.
+        cases = [(_points, linkage) for linkage in ("complete", "average", "single")]
+        cases += [(make, linkage) for make in (_lattice_points, _duplicate_points) for linkage in ("complete", "single")]
+        for make, linkage in cases:
+            for _ in range(15):
+                points = make(rng, int(rng.integers(2, 25)))
+                points = [points[i] for i in rng.permutation(len(points))]
+                t = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 12.0, 20.0]))
+                got = agglomerate(points, ClusterConfig(threshold=t, linkage=linkage))
+                assert got == naive_agglomerate(points, t, linkage), (make.__name__, linkage, t)
+
+    def test_memory_bounded_by_link_matrix(self):
+        n, dim = 400, 64
+        points = _points(np.random.default_rng(12), n, dim=dim)
+        tracemalloc.start()
+        try:
+            clusters = agglomerate(points, ClusterConfig(threshold=60.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 < len(clusters) < n  # the merge loop ran and stopped at the threshold
+        assert peak < 4 * n * n * 8  # an n*n*dim difference tensor would be 16x this
 
     def test_complete_linkage_diameter_bound(self):
         rng = np.random.default_rng(7)
@@ -100,29 +137,27 @@ class TestBuildSummary:
         phrases = [_phrase(f"p{i}") for i in range(4)]
         embeddings = {p.id: np.array([float(i) * 0.1]) for i, p in enumerate(phrases)}
         summary = build_summary(
-            "t0",
             phrases,
             {p.id: "food" for p in phrases},
             {p.id: "good" for p in phrases},
             embeddings,
             ClusterConfig(threshold=7.0),
         )
-        assert list(summary.groups) == [("food", "good")]
-        clusters = summary.groups[("food", "good")]
+        assert list(summary) == [("food", "good")]
+        clusters = summary[("food", "good")]
         assert len(clusters) == 1
-        assert clusters[0].members == [p.id for p in phrases]
+        assert clusters[0] == [p.id for p in phrases]
 
     def test_none_labels_excluded(self):
         phrases = [_phrase("p0"), _phrase("p1")]
         summary = build_summary(
-            "t0",
             phrases,
             {"p0": "food", "p1": None},
             {"p0": "good", "p1": "good"},
             {"p0": np.zeros(2), "p1": np.zeros(2)},
             ClusterConfig(),
         )
-        members = [m for cs in summary.groups.values() for c in cs for m in c.members]
+        members = [m for cs in summary.values() for c in cs for m in c]
         assert members == ["p0"]
 
     def test_planted_partition_recovered(self):
@@ -136,15 +171,14 @@ class TestBuildSummary:
             embeddings[pid] = centers[side] + rng.normal(0, 0.5, size=4)
             expect[side].append(pid)
         summary = build_summary(
-            "t0",
             phrases,
             {p.id: "food" for p in phrases},
             {p.id: "good" for p in phrases},
             embeddings,
             ClusterConfig(threshold=7.0),
         )
-        clusters = summary.groups[("food", "good")]
-        got = sorted(sorted(c.members) for c in clusters)
+        clusters = summary[("food", "good")]
+        got = sorted(sorted(c) for c in clusters)
         assert got == sorted([sorted(expect[0]), sorted(expect[1])])
 
     def test_clusters_ordered_by_size_then_min_id(self):
@@ -157,12 +191,10 @@ class TestBuildSummary:
             "p4": np.array([200.0]),
         }
         summary = build_summary(
-            "t0",
             phrases,
             {p.id: "food" for p in phrases},
             {p.id: "good" for p in phrases},
             embeddings,
             ClusterConfig(threshold=7.0),
         )
-        clusters = summary.groups[("food", "good")]
-        assert [c.members for c in clusters] == [["p0", "p1", "p2"], ["p3"], ["p4"]]
+        assert summary[("food", "good")] == [["p0", "p1", "p2"], ["p3"], ["p4"]]

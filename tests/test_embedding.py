@@ -373,3 +373,18 @@ class TestPersistence:
         save_space(space, path)
         header = path.read_text().splitlines()[0].split()
         assert header == ["4", "2", "1", "2", "0.7", "0.5"]
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("4 2 1 2 0.7\n")
+        with pytest.raises(ValueError, match=r"short\.txt:1:"):
+            load_space(path)
+
+    def test_row_without_id_rejected(self, tmp_path):
+        path = tmp_path / "space.txt"
+        save_space(init_space(_toy_vocab(["alpha", "beta"]), _schema(), EmbedConfig(dim=4), ["s0"]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "word"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"space\.txt:3:"):
+            load_space(path)

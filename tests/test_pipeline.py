@@ -179,6 +179,32 @@ class TestResume:
         assert all(status == "ran" for name, status in report.items() if name != "extract")
         run_pipeline(cfg)  # restore artifacts for later tests
 
+    @staticmethod
+    def _moved_inputs(cfg, tmp_path):
+        """Copy the inputs to a new directory and the workdir to another."""
+        moved = {}
+        for name in ("corpus", "trees", "aspect_schema", "sentiment_schema"):
+            src = Path(getattr(cfg, name))
+            moved[name] = str(shutil.copy(src, tmp_path / src.name))
+        shutil.copytree(cfg.workdir, tmp_path / "work")
+        return dataclasses.replace(cfg, workdir=str(tmp_path / "work"), **moved)
+
+    def test_inputs_at_another_path_skip_everything(self, ran, tmp_path):
+        cfg, _ = ran
+        moved = self._moved_inputs(cfg, tmp_path)
+        report = run_pipeline(moved)
+        assert list(report.values()) == ["skipped"] * 9
+
+    def test_changed_input_byte_reruns_extract(self, ran, tmp_path):
+        cfg, _ = ran
+        moved = self._moved_inputs(cfg, tmp_path)
+        corpus = Path(moved.corpus)
+        text = corpus.read_bytes()
+        corpus.write_bytes(text.replace(b"\tthe\t", b"\tThe\t", 1))
+        assert corpus.read_bytes() != text
+        report = run_pipeline(moved)
+        assert report["extract"] == "ran"
+
     def test_force_reruns_all(self, ran):
         cfg, _ = ran
         report = run_pipeline(cfg, force=True)
