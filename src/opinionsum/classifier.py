@@ -49,7 +49,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 1
-    rng_seed: int = 0
 
     def validate(self):
         if self.learning_rate <= 0:
@@ -196,12 +195,12 @@ def _clip_global_norm(grads: dict, max_norm: float) -> None:
             g *= scale
 
 
-def _fit(model: ReferenceEncoder, items: list, config: TrainConfig) -> list[float]:
+def _fit(model: ReferenceEncoder, items: list, config: TrainConfig, seed: int) -> list[float]:
     """Minibatch SGD on the distillation loss; returns per-batch losses."""
     config.validate()
     if not items:
         return []
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     trajectory = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
@@ -225,6 +224,7 @@ def train_on_sentences(
     corpus: list[Sentence],
     vocab: Vocabulary,
     config: TrainConfig,
+    seed: int = 0,
 ) -> tuple[ReferenceEncoder, list[float]]:
     """Fit the model on soft sentence labels (whole sentence as the unit)."""
     by_id = {s.id: s for s in corpus}
@@ -235,7 +235,7 @@ def train_on_sentences(
             raise ValueError(f"pseudo label for unknown sentence {label.sentence_id!r}")
         ids = token_ids(vocab, [t.surface for t in sent.tokens])
         items.append((ClassifierInput(ids), label.distribution))
-    return model, _fit(model, items, config)
+    return model, _fit(model, items, config, seed)
 
 
 def finetune_on_phrases(
@@ -245,6 +245,7 @@ def finetune_on_phrases(
     corpus: list[Sentence],
     vocab: Vocabulary,
     config: TrainConfig,
+    seed: int = 0,
 ) -> tuple[ReferenceEncoder, list[float]]:
     """Fit on phrase labels: the input is the full sentence with the phrase's
     covering span marked.  Excluded labels are skipped; Background labels
@@ -259,7 +260,7 @@ def finetune_on_phrases(
             raise ValueError(f"pseudo label for unknown phrase {label.phrase_id!r}")
         sent = by_id[phrase.sentence_id]
         items.append((phrase_input(vocab, sent, phrase), label.distribution))
-    return model, _fit(model, items, config)
+    return model, _fit(model, items, config, seed)
 
 
 def phrase_span(phrase) -> tuple[int, int]:

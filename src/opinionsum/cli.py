@@ -24,33 +24,38 @@ log = logging.getLogger("opinionsum")
 
 _SEED_ENV = "OPINIONSUM_SEED"
 
-# flag dest -> path into the config dict
-_FLAG_MAP = {
-    "corpus": ("corpus",),
-    "trees": ("trees",),
-    "aspect_schema": ("aspect_schema",),
-    "sentiment_schema": ("sentiment_schema",),
-    "workdir": ("workdir",),
-    "seed": ("seed",),
-    "min_count": ("min_count",),
-    "encoder_dim": ("encoder_dim",),
-    "dim": ("embed", "dim"),
-    "window": ("embed", "window"),
-    "epochs": ("embed", "epochs"),
-    "embed_lr": ("embed", "learning_rate"),
-    "negatives": ("embed", "negatives_per_positive"),
-    "m_inter": ("embed", "m_inter"),
-    "m_intra": ("embed", "m_intra"),
-    "k": ("distill", "top_k"),
-    "alpha": ("distill", "alpha"),
-    "theta1": ("distill", "theta1"),
-    "theta2": ("distill", "theta2"),
-    "train_lr": ("train", "learning_rate"),
-    "batch_size": ("train", "batch_size"),
-    "train_epochs": ("train", "epochs"),
-    "tc": ("cluster", "threshold"),
-    "linkage": ("cluster", "linkage"),
-}
+# (flag, path into the config dict, argparse keyword arguments); a flag's
+# dest is its name without the leading dashes, '-' as '_' (--embed-lr -> embed_lr)
+_CONFIG_FLAGS = (
+    ("--corpus", ("corpus",), {}),
+    ("--trees", ("trees",), {}),
+    ("--aspect-schema", ("aspect_schema",), {}),
+    ("--sentiment-schema", ("sentiment_schema",), {}),
+    ("--workdir", ("workdir",), {}),
+    ("--seed", ("seed",), {"type": int}),
+    ("--min-count", ("min_count",), {"type": int}),
+    ("--encoder-dim", ("encoder_dim",), {"type": int}),
+    ("--dim", ("embed", "dim"), {"type": int, "help": "embedding dimension"}),
+    ("--window", ("embed", "window"), {"type": int}),
+    ("--epochs", ("embed", "epochs"), {"type": int, "help": "embedding training epochs"}),
+    ("--embed-lr", ("embed", "learning_rate"), {"type": float}),
+    ("--negatives", ("embed", "negatives_per_positive"), {"type": int}),
+    ("--m-inter", ("embed", "m_inter"), {"type": float}),
+    ("--m-intra", ("embed", "m_intra"), {"type": float}),
+    ("--k", ("distill", "top_k"), {"type": int, "help": "top-K sentences per category"}),
+    ("--alpha", ("distill", "alpha"), {"type": float, "help": "softmax temperature"}),
+    ("--theta1", ("distill", "theta1"), {"type": float}),
+    ("--theta2", ("distill", "theta2"), {"type": float}),
+    ("--train-lr", ("train", "learning_rate"), {"type": float}),
+    ("--batch-size", ("train", "batch_size"), {"type": int}),
+    ("--train-epochs", ("train", "epochs"), {"type": int}),
+    ("--tc", ("cluster", "threshold"), {"type": float, "help": "clustering distance threshold"}),
+    ("--linkage", ("cluster", "linkage"), {"choices": ["complete", "average", "single"]}),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,30 +67,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--corpus")
-    p.add_argument("--trees")
-    p.add_argument("--aspect-schema", dest="aspect_schema")
-    p.add_argument("--sentiment-schema", dest="sentiment_schema")
-    p.add_argument("--workdir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--encoder-dim", dest="encoder_dim", type=int)
-    p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--window", type=int)
-    p.add_argument("--epochs", type=int, help="embedding training epochs")
-    p.add_argument("--embed-lr", dest="embed_lr", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--m-inter", dest="m_inter", type=float)
-    p.add_argument("--m-intra", dest="m_intra", type=float)
-    p.add_argument("--k", type=int, help="top-K sentences per category")
-    p.add_argument("--alpha", type=float, help="softmax temperature")
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    p.add_argument("--train-lr", dest="train_lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--train-epochs", dest="train_epochs", type=int)
-    p.add_argument("--tc", type=float, help="clustering distance threshold")
-    p.add_argument("--linkage", choices=["complete", "average", "single"])
+    for flag, _, kwargs in _CONFIG_FLAGS:
+        p.add_argument(flag, dest=_dest(flag), **kwargs)
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -103,8 +86,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
             raise ValidationError(f"config file {path}: {exc}") from None
     if os.environ.get(_SEED_ENV):
         data["seed"] = int(os.environ[_SEED_ENV])
-    for dest, keys in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
+    for flag, keys, _ in _CONFIG_FLAGS:
+        value = getattr(args, _dest(flag), None)
         if value is None:
             continue
         node = data

@@ -159,13 +159,19 @@ class Vocabulary:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("min_count "):
             raise CorpusError(f"{path}: missing min_count header")
-        min_count = int(lines[0].split()[1])
+        try:
+            min_count = int(lines[0][len("min_count ") :])
+        except ValueError:
+            raise CorpusError(f"{path}:1: min_count is not an integer") from None
         words = []
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
-            w, c = line.split("\t")
-            words.append((w, int(c)))
+            try:
+                w, c = line.split("\t")
+                words.append((w, int(c)))
+            except ValueError:
+                raise CorpusError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
         return cls(words, min_count)
 
 

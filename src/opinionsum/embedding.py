@@ -44,7 +44,6 @@ class EmbedConfig:
     epochs: int = 20
     learning_rate: float = 0.025
     negatives_per_positive: int = 5
-    rng_seed: int = 0
     m_inter: float = 0.7
     m_intra: float = 0.5
 
@@ -109,11 +108,12 @@ def init_space(
     schema: CategorySchema,
     config: EmbedConfig,
     sentence_ids: list[str],
+    seed: int = 0,
 ) -> SphereSpace:
     """Seeded initialization: words/sentences uniform on the sphere, each
     category at the normalized mean of its seed-keyword vectors."""
     config.validate()
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     words = [w for w, _ in vocab.words]
     word_vecs = _random_unit(rng, (len(words), config.dim))
     sent_vecs = _random_unit(rng, (len(sentence_ids), config.dim))
@@ -204,40 +204,27 @@ def loss_intra(space: SphereSpace, schema: CategorySchema) -> float:
     return _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)[0]
 
 
-@dataclass
-class _PairBatch:
-    """One sentence's positive pairs plus pre-sampled negative word ids.
-
-    Pair order along axis 0: word-context pairs, then word-sentence pairs,
-    then the single sentence-category pair.  negs has shape (P, K).
-    """
-
-    ww_u: np.ndarray
-    ww_v: np.ndarray
-    wx_u: np.ndarray
-    sent_row: int
-    cat_row: int
-    negs: np.ndarray
-
-
-def _pair_value_grads(word_vecs, sent_vec, cat_vec, batch: _PairBatch):
-    """Value and gradients of the negative-sampling objective for one batch.
+def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs):
+    """Value and gradients of the negative-sampling objective for one
+    sentence's positive pairs: word-context pairs (ww_u, ww_v), then
+    word-sentence pairs (wx_u), then the single sentence-category pair, with
+    pre-sampled negative word ids negs of shape (P, K) in that pair order.
 
     Returns (value, word_idx, word_grads, d_sent, d_cat) with word gradients
     as parallel (index, row) arrays for scatter-accumulation.
     """
-    nw, nx = len(batch.ww_u), len(batch.wx_u)
+    nw, nx = len(ww_u), len(wx_u)
     p = nw + nx + 1
     dim = word_vecs.shape[1]
     u = np.empty((p, dim))
     v = np.empty((p, dim))
-    u[:nw] = word_vecs[batch.ww_u]
-    u[nw : nw + nx] = word_vecs[batch.wx_u]
+    u[:nw] = word_vecs[ww_u]
+    u[nw : nw + nx] = word_vecs[wx_u]
     u[-1] = sent_vec
-    v[:nw] = word_vecs[batch.ww_v]
+    v[:nw] = word_vecs[ww_v]
     v[nw : nw + nx] = sent_vec
     v[-1] = cat_vec
-    neg = word_vecs[batch.negs]  # (P, K, dim)
+    neg = word_vecs[negs]  # (P, K, dim)
 
     s_pos = np.einsum("pd,pd->p", u, v)
     s_neg = np.einsum("pd,pkd->pk", u, neg)
@@ -249,7 +236,7 @@ def _pair_value_grads(word_vecs, sent_vec, cat_vec, batch: _PairBatch):
     grad_v = (1.0 - sig_pos)[:, None] * u
     grad_neg = -sig_neg[..., None] * u[:, None, :]
 
-    word_idx = np.concatenate([batch.ww_u, batch.ww_v, batch.wx_u, batch.negs.ravel()])
+    word_idx = np.concatenate([ww_u, ww_v, wx_u, negs.ravel()])
     word_grads = np.concatenate(
         [grad_u[:nw], grad_v[:nw], grad_u[nw : nw + nx], grad_neg.reshape(-1, dim)]
     )
@@ -258,21 +245,10 @@ def _pair_value_grads(word_vecs, sent_vec, cat_vec, batch: _PairBatch):
     return value, word_idx, word_grads, d_sent, d_cat
 
 
-_WINDOW_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _WINDOW_CACHE.get((n, h))
-    if got is None:
-        ci, cj = [], []
-        for i in range(n):
-            for j in range(max(0, i - h), min(n, i + h + 1)):
-                if j != i:
-                    ci.append(i)
-                    cj.append(j)
-        got = (np.asarray(ci, dtype=np.intp), np.asarray(cj, dtype=np.intp))
-        _WINDOW_CACHE[(n, h)] = got
-    return got
+    """Positions (i, j) with 0 < |i - j| <= h among n tokens, row-major."""
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.nonzero((gap > 0) & (gap <= h))
 
 
 def _renorm_rows(table: np.ndarray, rows: np.ndarray | None = None) -> None:
@@ -286,14 +262,15 @@ def _renorm_rows(table: np.ndarray, rows: np.ndarray | None = None) -> None:
         table[rows] = sub / norms
 
 
+def _max_norm_dev(table: np.ndarray) -> float:
+    """Max |norm - 1| over the rows of table; NaN if any row is NaN."""
+    return float(np.max(np.abs(np.linalg.norm(table, axis=1) - 1.0), initial=0.0))
+
+
 def check_norms(space: SphereSpace, tol: float = 1e-6) -> float:
-    """Max |norm - 1| over all stored vectors; raises if above tol."""
-    worst = 0.0
-    for table in (space.word_vecs, space.sent_vecs, space.cat_vecs):
-        if len(table):
-            dev = float(np.max(np.abs(np.linalg.norm(table, axis=1) - 1.0)))
-            worst = max(worst, dev)
-    if worst > tol:
+    """Max |norm - 1| over all stored vectors; raises if above tol or not finite."""
+    worst = float(np.max([_max_norm_dev(t) for t in (space.word_vecs, space.sent_vecs, space.cat_vecs)]))
+    if not worst <= tol:
         raise TrainingError(f"unit-norm invariant violated: max deviation {worst:.3g}")
     return worst
 
@@ -301,8 +278,9 @@ def check_norms(space: SphereSpace, tol: float = 1e-6) -> float:
 class SphereTrainer:
     """SGD trainer; one optimizer step = one sentence's pairs + margin terms.
 
-    Deterministic given the config seed: sentences are visited in corpus
-    order and all sampling comes from a single generator.
+    Deterministic given the seed: sentences are visited in corpus order and
+    all sampling comes from a single generator.  Each sentence's pair indices
+    are built once here; each step draws fresh negatives.
     """
 
     def __init__(
@@ -311,27 +289,25 @@ class SphereTrainer:
         corpus: list[Sentence],
         schema: CategorySchema,
         config: EmbedConfig,
-        rng: np.random.Generator | None = None,
+        seed: int = 0,
     ):
         config.validate()
         if not corpus:
             raise TrainingError("corpus is empty")
         self.space = space
         self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
+        self.rng = np.random.default_rng(seed)
         self._kw_ids, self._kw_cats = _keyword_rows(space, schema)
 
-        self._sent_tokens: list[np.ndarray] = []
-        self._sent_rows: list[int] = []
+        # per sentence: (id, sent row, in-vocabulary word ids, window pair ids u, v)
+        self._sents: list[tuple[str, int, np.ndarray, np.ndarray, np.ndarray]] = []
         counts = np.zeros(len(space.words))
         for sent in corpus:
             ids = [space.word_id(t.surface) for t in sent.tokens]
             ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
-            if len(ids):
-                np.add.at(counts, ids, 1.0)
-            self._sent_tokens.append(ids)
-            self._sent_rows.append(space.sent_row(sent.id))
-        self._sent_labels = [s.id for s in corpus]
+            np.add.at(counts, ids, 1.0)
+            ci, cj = _window_pairs(len(ids), config.window)
+            self._sents.append((sent.id, space.sent_row(sent.id), ids, ids[ci], ids[cj]))
         total = counts.sum()
         if total == 0:
             raise TrainingError("no in-vocabulary tokens in corpus")
@@ -345,20 +321,11 @@ class SphereTrainer:
         ids = np.searchsorted(self._neg_cum, r)
         return np.minimum(ids, len(self.space.words) - 1)
 
-    def _build_batch(self, tok_ids: np.ndarray, sent_row: int, cat_row: int) -> _PairBatch:
-        n = len(tok_ids)
-        if n:
-            ci, cj = _window_pairs(n, self.config.window)
-            ww_u, ww_v = tok_ids[ci], tok_ids[cj]
-        else:
-            ww_u = ww_v = np.empty(0, dtype=np.intp)
-        negs = self._sample_negatives(len(ww_u) + n + 1)
-        return _PairBatch(ww_u, ww_v, tok_ids, sent_row, cat_row, negs)
-
-    def _step(self, batch: _PairBatch, label: str, norm_check: bool) -> float:
+    def _step(self, sent: tuple, cat_row: int, negs: np.ndarray, norm_check: bool) -> float:
+        label, row, ids, ww_u, ww_v = sent
         space, lr = self.space, self.config.learning_rate
         value, widx, wgrads, d_sent, d_cat = _pair_value_grads(
-            space.word_vecs, space.sent_vecs[batch.sent_row], space.cat_vecs[batch.cat_row], batch
+            space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs
         )
         inter_v, d_cats = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, kw_grads, intra_cat_grad = _intra_value_grad(
@@ -382,23 +349,18 @@ class SphereTrainer:
         space.word_vecs[uniq] += lr * acc
         _renorm_rows(space.word_vecs, uniq)
 
-        space.sent_vecs[batch.sent_row] += lr * d_sent
-        _renorm_rows(space.sent_vecs, np.asarray([batch.sent_row]))
+        space.sent_vecs[row] += lr * d_sent
+        _renorm_rows(space.sent_vecs, np.asarray([row]))
 
         d_cats += intra_cat_grad
-        d_cats[batch.cat_row] += d_cat
+        d_cats[cat_row] += d_cat
         space.cat_vecs += lr * d_cats
         _renorm_rows(space.cat_vecs)
 
         if norm_check:
-            for table, rows in (
-                (space.word_vecs, uniq),
-                (space.sent_vecs, np.asarray([batch.sent_row])),
-                (space.cat_vecs, None),
-            ):
-                sub = table if rows is None else table[rows]
-                dev = np.max(np.abs(np.linalg.norm(sub, axis=1) - 1.0))
-                if not np.isfinite(dev) or dev > 1e-6:
+            for table in (space.word_vecs[uniq], space.sent_vecs[[row]], space.cat_vecs):
+                dev = _max_norm_dev(table)
+                if not dev <= 1e-6:
                     raise TrainingError(f"norm deviation {dev:.3g} after step at {label!r}")
         return value
 
@@ -407,10 +369,11 @@ class SphereTrainer:
         assigned = np.argmax(space.sent_vecs @ space.cat_vecs.T, axis=1)
         gen_value = 0.0
         n_pairs = 0
-        for tok_ids, row, label in zip(self._sent_tokens, self._sent_rows, self._sent_labels):
-            batch = self._build_batch(tok_ids, row, int(assigned[row]))
-            gen_value += self._step(batch, label, norm_check)
-            n_pairs += len(batch.negs)
+        for sent in self._sents:
+            _, row, ids, ww_u, _ = sent
+            negs = self._sample_negatives(len(ww_u) + len(ids) + 1)
+            gen_value += self._step(sent, int(assigned[row]), negs, norm_check)
+            n_pairs += len(negs)
         inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, _, _ = _intra_value_grad(
             space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra
@@ -420,18 +383,6 @@ class SphereTrainer:
     def run(self, epochs: int | None = None, norm_check: bool = False) -> list[TrainStats]:
         n = self.config.epochs if epochs is None else epochs
         return [self.train_epoch(norm_check=norm_check) for _ in range(n)]
-
-
-def train_epoch(
-    space: SphereSpace,
-    corpus: list[Sentence],
-    schema: CategorySchema,
-    config: EmbedConfig,
-    rng: np.random.Generator | None = None,
-) -> TrainStats:
-    """One SGD pass over the corpus.  Multi-epoch runs should reuse a
-    SphereTrainer so negative sampling does not restart from the seed."""
-    return SphereTrainer(space, corpus, schema, config, rng=rng).train_epoch()
 
 
 def sentence_scores(space: SphereSpace, sentence_id: str) -> np.ndarray:
@@ -474,8 +425,11 @@ def load_space(path) -> SphereSpace:
         header = f.readline().split()
         if len(header) < 6:
             raise ValueError(f"{path}:1: header has {len(header)} fields, expected 6")
-        dim, n_words, n_sents, n_cats = (int(x) for x in header[:4])
-        m_inter, m_intra = float(header[4]), float(header[5])
+        try:
+            dim, n_words, n_sents, n_cats = (int(x) for x in header[:4])
+            m_inter, m_intra = float(header[4]), float(header[5])
+        except ValueError:
+            raise ValueError(f"{path}:1: header field is not a number") from None
         names: dict[str, list[str]] = {"word": [], "sent": [], "cat": []}
         rows: dict[str, list[np.ndarray]] = {"word": [], "sent": [], "cat": []}
         for lineno, line in enumerate(f, start=2):
@@ -485,7 +439,10 @@ def load_space(path) -> SphereSpace:
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: row has no id")
             kind, name = parts[0], parts[1]
-            vec = np.asarray([float(x) for x in parts[2:]])
+            try:
+                vec = np.asarray([float(x) for x in parts[2:]])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric value in row for {name!r}") from None
             if kind not in names or len(vec) != dim:
                 raise ValueError(f"{path}:{lineno}: bad row for {name!r}")
             names[kind].append(name)

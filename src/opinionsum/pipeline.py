@@ -11,7 +11,7 @@ import json
 import logging
 import os
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +71,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(cls, data, "")
         kwargs = dict(data)
         for f in fields(cls):
             if is_dataclass(f.type) and f.name in data:
-                try:
-                    kwargs[f.name] = f.type(**data[f.name])
-                except TypeError as exc:
-                    raise ValidationError(f"bad {f.name} config: {exc}") from None
+                if not isinstance(data[f.name], dict):
+                    raise ValidationError(f"{f.name} must be an object, got {data[f.name]!r}")
+                _check_keys(f.type, data[f.name], f"{f.name}.")
                 _check_types(f.type, data[f.name], f"{f.name}.")
+                kwargs[f.name] = f.type(**data[f.name])
         _check_types(cls, kwargs, "")
         return cls(**kwargs)
 
@@ -111,6 +109,12 @@ class PipelineConfig:
 
     def schema_path(self, kind: str) -> str:
         return self.aspect_schema if kind == "aspect" else self.sentiment_schema
+
+
+def _check_keys(cls, data: dict, prefix: str) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
 
 
 def _check_types(cls, data: dict, prefix: str) -> None:
@@ -179,10 +183,9 @@ def _run_train_embed(cfg: PipelineConfig):
     ids = [s.id for s in sentences]
     for kind in _KINDS:
         schema = load_schema(cfg.schema_path(kind), kind)
-        econf = replace(cfg.embed, rng_seed=seed_for(cfg.seed, "embed", kind))
-        space = init_space(vocab, schema, econf, ids)
-        trainer = SphereTrainer(space, sentences, schema, econf)
-        stats = trainer.run()
+        seed = seed_for(cfg.seed, "embed", kind)
+        space = init_space(vocab, schema, cfg.embed, ids, seed)
+        stats = SphereTrainer(space, sentences, schema, cfg.embed, seed).run()
         log.info("train-embed[%s]: %d epochs, final gen loss %.2f", kind, len(stats), stats[-1].gen_loss)
         _atomic_save(w / f"embed_{kind}.txt", lambda p: save_space(space, p))
 
@@ -206,13 +209,13 @@ def _run_train_classifier(cfg: PipelineConfig):
             len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind)
         )
         log.info("train-classifier[%s]: %d parameters", kind, model.parameter_count())
-        tconf = replace(cfg.train, rng_seed=seed_for(cfg.seed, "train", kind))
-        _, trajectory = train_on_sentences(model, labels, sentences, vocab, tconf)
+        seed = seed_for(cfg.seed, "train", kind)
+        _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
         if trajectory:
             log.info("train-classifier[%s]: %d batches, last loss %.4f", kind, len(trajectory), trajectory[-1])
         _atomic_save(
             w / f"classifier_{kind}.ckpt",
-            lambda p: save_checkpoint(model, p, tconf.rng_seed, schema.fingerprint()),
+            lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
         )
 
 
@@ -247,13 +250,13 @@ def _run_finetune(cfg: PipelineConfig):
     for kind in _KINDS:
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
         labels = _read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
-        tconf = replace(cfg.train, rng_seed=seed_for(cfg.seed, "finetune", kind))
-        _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, tconf)
+        seed = seed_for(cfg.seed, "finetune", kind)
+        _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
         if trajectory:
             log.info("finetune[%s]: %d batches, last loss %.4f", kind, len(trajectory), trajectory[-1])
         _atomic_save(
             w / f"classifier_{kind}_ft.ckpt",
-            lambda p: save_checkpoint(model, p, tconf.rng_seed),
+            lambda p: save_checkpoint(model, p, seed),
         )
 
 

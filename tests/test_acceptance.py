@@ -26,7 +26,6 @@ from opinionsum.embedding import (
     _inter_value_grad,
     _intra_value_grad,
     _pair_value_grads,
-    _PairBatch,
     check_norms,
     init_space,
     load_space,
@@ -77,11 +76,11 @@ def test_01_unit_sphere_invariant(pipeline_run):
     sentences = load_corpus(paths["corpus"], paths["trees"])
     schema = load_schema(paths["aspect_schema"], "aspect")
     vocab = build_vocab(sentences, 1, keep=schema.all_keywords())
-    config = EmbedConfig(dim=64, epochs=20, learning_rate=0.05, rng_seed=17)
-    space = init_space(vocab, schema, config, [s.id for s in sentences])
+    config = EmbedConfig(dim=64, epochs=20, learning_rate=0.05)
+    space = init_space(vocab, schema, config, [s.id for s in sentences], seed=17)
     check_norms(space, tol=1e-6)
     start = time.perf_counter()
-    SphereTrainer(space, sentences, schema, config).run(norm_check=True)  # raises on violation
+    SphereTrainer(space, sentences, schema, config, seed=17).run(norm_check=True)  # raises on violation
     elapsed = time.perf_counter() - start
     final_dev = check_norms(space, tol=1e-6)
     _criterion(
@@ -140,19 +139,12 @@ def test_02_gradient_correctness():
 
     sent = rng.normal(size=6)
     cat = cats[0].copy()
-    batch = _PairBatch(
-        ww_u=np.array([0, 1, 3]),
-        ww_v=np.array([2, 0, 4]),
-        wx_u=np.array([1, 5, 6]),
-        sent_row=0,
-        cat_row=0,
-        negs=rng.integers(0, 7, size=(7, 3)),
-    )
+    pairs = (np.array([0, 1, 3]), np.array([2, 0, 4]), np.array([1, 5, 6]), rng.integers(0, 7, size=(7, 3)))
 
     def pair():
-        return _pair_value_grads(words, sent, cat, batch)[0]
+        return _pair_value_grads(words, sent, cat, *pairs)[0]
 
-    _, widx, wgrads, d_sent, d_cat = _pair_value_grads(words, sent, cat, batch)
+    _, widx, wgrads, d_sent, d_cat = _pair_value_grads(words, sent, cat, *pairs)
     dense = np.zeros_like(words)
     np.add.at(dense, widx, wgrads)
     worst_embed = max(worst_embed, _rel_err(dense, _fd_scalar(pair, words)))

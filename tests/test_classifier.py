@@ -187,7 +187,7 @@ class TestTraining:
 
     def test_loss_decreases(self):
         model, pseudo, corpus, vocab = self._setup()
-        _, tr = train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(learning_rate=0.5, epochs=60, rng_seed=0))
+        _, tr = train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(learning_rate=0.5, epochs=60), seed=0)
         assert np.mean(tr[-5:]) < np.mean(tr[:5])
 
     def test_zero_items_returns_model_unchanged(self):
@@ -201,7 +201,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model, pseudo, corpus, vocab = self._setup()
-            train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(epochs=3, rng_seed=9))
+            train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(epochs=3), seed=9)
             runs.append(model.params)
         assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
 
@@ -245,7 +245,7 @@ class TestFinetune:
         inputs = [phrase_input(vocab, corpus[i], phrases[pid]) for i, pid in enumerate(sorted(phrases))]
         before = np.mean([model.predict(i).max() for i in inputs])
         finetune_on_phrases(model, labels, phrases, corpus, vocab,
-                            TrainConfig(learning_rate=0.5, epochs=40, rng_seed=0))
+                            TrainConfig(learning_rate=0.5, epochs=40), seed=0)
         after = np.mean([model.predict(i).max() for i in inputs])
         assert after < before
 

@@ -96,7 +96,14 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("min_count", "3"), ("seed", 1.5), ("trees", 7), ("embed", {"dim": "16"}), ("cluster", {"threshold": None})],
+        [
+            ("min_count", "3"),
+            ("seed", 1.5),
+            ("trees", 7),
+            ("embed", {"dim": "16"}),
+            ("cluster", {"threshold": None}),
+            ("embed", 5),
+        ],
     )
     def test_config_wrong_type_exits_1(self, tmp_path, capsys, key, value):
         paths = _synth(tmp_path, n=30)
@@ -122,6 +129,21 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "unknown" in err and removed in err and str(config) in err
+
+    @pytest.mark.parametrize("section", ["embed", "train"])
+    def test_config_with_removed_seed_knob_is_unknown_key(self, tmp_path, capsys, section):
+        # the stages derive their seeds from the top-level seed; the per-section
+        # seed knob is gone
+        removed = "rng_seed"
+        paths = _synth(tmp_path, n=30)
+        config = _config_file(tmp_path, paths)
+        data = json.loads(config.read_text())
+        data[section][removed] = 5
+        config.write_text(json.dumps(data))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown" in err and f"{section}.{removed}" in err and str(config) in err
+        assert not (tmp_path / "work").exists()
 
     def test_bad_flag_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -190,6 +190,20 @@ class TestBuildVocab:
         again = Vocabulary.load(tmp_path / "v.txt")
         assert again.words == vocab.words and again.min_count == vocab.min_count
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("min_count x\na\t1\n", 1),  # non-integer min_count
+            ("min_count 1\na\t1\nb 2\n", 3),  # row without a tab
+            ("min_count 1\na\tmany\n", 2),  # non-integer count
+        ],
+    )
+    def test_malformed_file_names_line(self, tmp_path, text, line):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"v\.txt:{line}:"):
+            Vocabulary.load(path)
+
 
 class TestSchema:
     def test_restaurant_aspects(self):

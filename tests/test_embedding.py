@@ -12,7 +12,7 @@ from opinionsum.embedding import (
     _inter_value_grad,
     _intra_value_grad,
     _pair_value_grads,
-    _PairBatch,
+    _window_pairs,
     check_norms,
     init_space,
     load_space,
@@ -21,10 +21,9 @@ from opinionsum.embedding import (
     phrase_similarity,
     save_space,
     sentence_scores,
-    train_epoch,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import make_sentence
+from util import make_sentence, naive_window_pairs
 
 
 def _toy_vocab(words):
@@ -57,7 +56,7 @@ def _manual_space(cat_vecs, word_vecs=None, words=(), m_inter=0.5, m_intra=0.5):
 class TestInit:
     def _space(self, seed=0):
         vocab = _toy_vocab(["alpha", "beta", "gamma", "delta"])
-        return init_space(vocab, _schema(), EmbedConfig(dim=8, rng_seed=seed), ["s0", "s1"])
+        return init_space(vocab, _schema(), EmbedConfig(dim=8), ["s0", "s1"], seed=seed)
 
     def test_all_norms_one(self):
         space = self._space()
@@ -73,6 +72,12 @@ class TestInit:
         assert np.array_equal(a.word_vecs, b.word_vecs)
         assert np.array_equal(a.sent_vecs, b.sent_vecs)
         assert np.array_equal(a.cat_vecs, b.cat_vecs)
+
+    def test_nan_row_fails_norm_check(self):
+        space = self._space()
+        space.word_vecs[1, 0] = np.nan
+        with pytest.raises(TrainingError, match="nan"):
+            check_norms(space)
 
     def test_missing_keyword_named(self):
         vocab = _toy_vocab(["alpha"])
@@ -201,19 +206,13 @@ class TestGradients:
         words = rng.normal(size=(n_words, dim))
         sent = rng.normal(size=dim)
         cat = rng.normal(size=dim)
-        batch = _PairBatch(
-            ww_u=np.array([0, 1, 2]),
-            ww_v=np.array([1, 0, 3]),
-            wx_u=np.array([0, 2, 4]),
-            sent_row=0,
-            cat_row=0,
-            negs=rng.integers(0, n_words, size=(7, 2)),
-        )
+        pairs = (np.array([0, 1, 2]), np.array([1, 0, 3]), np.array([0, 2, 4]),
+                 rng.integers(0, n_words, size=(7, 2)))
 
         def value():
-            return _pair_value_grads(words, sent, cat, batch)[0]
+            return _pair_value_grads(words, sent, cat, *pairs)[0]
 
-        _, widx, wgrads, d_sent, d_cat = _pair_value_grads(words, sent, cat, batch)
+        _, widx, wgrads, d_sent, d_cat = _pair_value_grads(words, sent, cat, *pairs)
         dense = np.zeros_like(words)
         np.add.at(dense, widx, wgrads)
         _assert_close(dense, _fd(value, words))
@@ -235,17 +234,17 @@ def _small_planted(tmp_path, n_sentences=240, seed=3):
 class TestTraining:
     def test_norms_hold_through_training(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=60)
-        config = EmbedConfig(dim=16, epochs=3, rng_seed=1)
-        space = init_space(vocab, schema, config, [s.id for s in sentences])
-        trainer = SphereTrainer(space, sentences, schema, config)
+        config = EmbedConfig(dim=16, epochs=3)
+        space = init_space(vocab, schema, config, [s.id for s in sentences], seed=1)
+        trainer = SphereTrainer(space, sentences, schema, config, seed=1)
         trainer.run(norm_check=True)  # raises on any per-step violation
         assert check_norms(space, tol=1e-6) < 1e-6
 
     def test_planted_margins_reach_zero(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path)
-        config = EmbedConfig(dim=32, epochs=50, learning_rate=0.05, rng_seed=2)
-        space = init_space(vocab, schema, config, [s.id for s in sentences])
-        trainer = SphereTrainer(space, sentences, schema, config)
+        config = EmbedConfig(dim=32, epochs=50, learning_rate=0.05)
+        space = init_space(vocab, schema, config, [s.id for s in sentences], seed=2)
+        trainer = SphereTrainer(space, sentences, schema, config, seed=2)
         for _ in range(50):
             stats = trainer.train_epoch()
             if stats.inter_loss == 0.0 and stats.intra_loss == 0.0:
@@ -260,11 +259,11 @@ class TestTraining:
 
     def test_bit_reproducible(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=40)
-        config = EmbedConfig(dim=12, epochs=2, rng_seed=11)
+        config = EmbedConfig(dim=12, epochs=2)
 
         def train():
-            space = init_space(vocab, schema, config, [s.id for s in sentences])
-            SphereTrainer(space, sentences, schema, config).run()
+            space = init_space(vocab, schema, config, [s.id for s in sentences], seed=11)
+            SphereTrainer(space, sentences, schema, config, seed=11).run()
             return space
 
         a, b = train(), train()
@@ -272,13 +271,28 @@ class TestTraining:
         assert np.array_equal(a.sent_vecs, b.sent_vecs)
         assert np.array_equal(a.cat_vecs, b.cat_vecs)
 
-    def test_module_level_train_epoch(self, tmp_path):
+    def test_train_epoch_stats(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
-        config = EmbedConfig(dim=12, epochs=1, rng_seed=0)
+        config = EmbedConfig(dim=12, epochs=1, window=3)
         space = init_space(vocab, schema, config, [s.id for s in sentences])
-        stats = train_epoch(space, sentences, schema, config)
+        stats = SphereTrainer(space, sentences, schema, config).train_epoch()
         assert stats.gen_loss >= 0.0
         assert stats.inter_loss <= 0.0 and stats.intra_loss <= 0.0
+        # per sentence: its window pairs, one (word, sentence) pair per known
+        # token and the (sentence, category) pair
+        n = [sum(t.surface in vocab for t in s.tokens) for s in sentences]
+        assert stats.n_pairs == sum(len(naive_window_pairs(k, 3)[0]) + k + 1 for k in n)
+
+    def test_sentence_without_known_token(self, tmp_path):
+        sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
+        unknown = make_sentence([("zzzyx", "NN"), ("qqqwv", "JJ")], sid="unknown")
+        assert all(t.surface not in vocab for t in unknown.tokens)
+        config = EmbedConfig(dim=12, epochs=2)
+        ids = [s.id for s in sentences] + [unknown.id]
+        with_it = SphereTrainer(init_space(vocab, schema, config, ids), sentences + [unknown], schema, config)
+        without = SphereTrainer(init_space(vocab, schema, config, ids), sentences, schema, config)
+        for a, b in zip(with_it.run(), without.run()):
+            assert a.n_pairs == b.n_pairs + 1  # only the (sentence, category) pair
 
     def test_empty_corpus_rejected(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
@@ -286,6 +300,15 @@ class TestTraining:
         space = init_space(vocab, schema, config, [])
         with pytest.raises(TrainingError, match="empty"):
             SphereTrainer(space, [], schema, config)
+
+
+class TestWindowPairs:
+    def test_matches_double_loop_in_order(self):
+        for n in range(21):
+            for h in range(1, 8):
+                ci, cj = _window_pairs(n, h)
+                want_i, want_j = naive_window_pairs(n, h)
+                assert ci.tolist() == want_i and cj.tolist() == want_j, (n, h)
 
 
 class TestScores:
@@ -354,7 +377,7 @@ class TestPhraseSimilarity:
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         vocab = _toy_vocab(["alpha", "beta", "gamma"])
-        space = init_space(vocab, _schema(), EmbedConfig(dim=6, rng_seed=4), ["s0", "s1"])
+        space = init_space(vocab, _schema(), EmbedConfig(dim=6), ["s0", "s1"], seed=4)
         path = tmp_path / "space.txt"
         save_space(space, path)
         again = load_space(path)
@@ -387,4 +410,19 @@ class TestPersistence:
         lines[2] = "word"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"space\.txt:3:"):
+            load_space(path)
+
+    def test_non_numeric_header_rejected(self, tmp_path):
+        path = tmp_path / "space.txt"
+        path.write_text("a b c d e f\n")
+        with pytest.raises(ValueError, match=r"space\.txt:1:"):
+            load_space(path)
+
+    def test_non_numeric_vector_field_rejected(self, tmp_path):
+        path = tmp_path / "space.txt"
+        save_space(init_space(_toy_vocab(["alpha", "beta"]), _schema(), EmbedConfig(dim=2), ["s0"]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "word w 1.0 x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"space\.txt:3:.*'w'"):
             load_space(path)

@@ -59,3 +59,15 @@ def naive_agglomerate(points, threshold, linkage="complete"):
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)] + [merged]
     clusters.sort(key=lambda c: ids[c[0]])
     return [[ids[k] for k in c] for c in clusters]
+
+
+def naive_window_pairs(n, h):
+    """Reference context-window pairs: (i, j) with j != i and |i - j| <= h,
+    i ascending, then j ascending, as two lists."""
+    ci, cj = [], []
+    for i in range(n):
+        for j in range(max(0, i - h), min(n, i + h + 1)):
+            if j != i:
+                ci.append(i)
+                cj.append(j)
+    return ci, cj
