@@ -291,6 +291,9 @@ def classify_phrase(y: np.ndarray, theta2: float, categories: list[str]) -> str 
     return categories[i] if y[i] >= theta2 else None
 
 
+CHECKPOINT_FORMAT = "refenc-v1"  # the header's "format"; pipeline stage hashes include it
+
+
 def _array_layout(model: ReferenceEncoder) -> list:
     return [[name, list(model.params[name].shape)] for name in _PARAM_ORDER]
 
@@ -299,7 +302,7 @@ def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha
     """JSON header line, then the parameter arrays as little-endian float32
     in the documented order."""
     header = {
-        "format": "refenc-v1",
+        "format": CHECKPOINT_FORMAT,
         "dim": model.dim,
         "vocab_size": model.vocab_size,
         "categories": model.categories,
@@ -319,7 +322,7 @@ def load_checkpoint(path) -> ReferenceEncoder:
             header = json.loads(f.readline())
         except ValueError:  # not JSON, or not text
             header = None
-        if not isinstance(header, dict) or header.get("format") != "refenc-v1":
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a classifier checkpoint")
         missing = [key for key in ("vocab_size", "dim", "categories") if key not in header]
         if missing:

@@ -151,10 +151,16 @@ def _cmd_synth(args) -> int:
 def _load_label_file(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
-                out[row["id"]] = row["label"]
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{n}: not JSON ({exc})") from None
+            if not isinstance(row, dict) or "id" not in row or "label" not in row:
+                raise ValidationError(f"{path}:{n}: expected an object with 'id' and 'label', got {line.strip()[:80]}")
+            out[row["id"]] = row["label"]
     return out
 
 

@@ -2,21 +2,27 @@
 
 Stages run in a fixed order, each writing its artifacts to the workdir
 atomically.  A stage is skipped on re-run when its recorded hash (own params,
-chained upstream hashes, external input digests) still matches and no
-upstream stage re-ran; anything downstream of a re-run stage re-runs too.
+chained upstream hashes, external input digests, code version) still matches
+and no upstream stage re-ran; anything downstream of a re-run stage re-runs
+too.  The three training stages train their aspect and sentiment models in two
+forked worker processes, one per schema.
 """
 
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import typing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .classifier import (
+    CHECKPOINT_FORMAT,
     ReferenceEncoder,
     TrainConfig,
     classify_phrase,
@@ -176,18 +182,38 @@ def _run_extract(cfg: PipelineConfig):
     _write_lines(w / "phrases.jsonl", [phrase_to_json(p) for phrases in phrase_lists for p in phrases])
 
 
-def _run_train_embed(cfg: PipelineConfig):
+def _per_kind(body, cfg: PipelineConfig):
+    """Run body(cfg, kind) for each kind in its own forked process, then log
+    the returned summaries in _KINDS order.
+
+    The kinds share no state and each seeds from its own seed_for(...), so
+    the artifacts are byte-identical to running the bodies one after the
+    other.  Only cfg and the summaries are pickled; each body reads its
+    inputs from the workdir and writes its own artifact.  fork, not spawn:
+    the workers inherit the imported package instead of importing it again
+    (spawn cost 0.3-1 s more per stage call), and the pool forks both workers
+    before it starts its own manager thread."""
+    with ProcessPoolExecutor(len(_KINDS), mp_context=multiprocessing.get_context("fork")) as pool:
+        summaries = list(pool.map(body, [cfg] * len(_KINDS), _KINDS))
+    for summary in summaries:
+        log.info("%s", summary)
+
+
+def _batches_note(trajectory) -> str:
+    last = f", last loss {trajectory[-1]:.4f}" if trajectory else ""
+    return f"{len(trajectory)} batches{last}"
+
+
+def _run_train_embed(cfg: PipelineConfig, kind: str) -> str:
     w = _workdir(cfg)
     sentences = load_manifest(w / "corpus.jsonl")
     vocab = Vocabulary.load(w / "vocab.txt")
-    ids = [s.id for s in sentences]
-    for kind in _KINDS:
-        schema = load_schema(cfg.schema_path(kind), kind)
-        seed = seed_for(cfg.seed, "embed", kind)
-        space = init_space(vocab, schema, cfg.embed, ids, seed)
-        stats = SphereTrainer(space, sentences, schema, cfg.embed, seed).run()
-        log.info("train-embed[%s]: %d epochs, final gen loss %.2f", kind, len(stats), stats[-1].gen_loss)
-        _atomic_save(w / f"embed_{kind}.txt", lambda p: save_space(space, p))
+    schema = load_schema(cfg.schema_path(kind), kind)
+    seed = seed_for(cfg.seed, "embed", kind)
+    space = init_space(vocab, schema, cfg.embed, [s.id for s in sentences], seed)
+    stats = SphereTrainer(space, sentences, schema, cfg.embed, seed).run()
+    _atomic_save(w / f"embed_{kind}.txt", lambda p: save_space(space, p))
+    return f"train-embed[{kind}]: {len(stats)} epochs, final gen loss {stats[-1].gen_loss:.2f}"
 
 
 def _run_pseudo_label(cfg: PipelineConfig):
@@ -198,25 +224,20 @@ def _run_pseudo_label(cfg: PipelineConfig):
         _write_lines(w / f"pseudo_sentences_{kind}.jsonl", [l.to_json() for l in labels])
 
 
-def _run_train_classifier(cfg: PipelineConfig):
+def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
     w = _workdir(cfg)
     sentences = load_manifest(w / "corpus.jsonl")
     vocab = Vocabulary.load(w / "vocab.txt")
-    for kind in _KINDS:
-        schema = load_schema(cfg.schema_path(kind), kind)
-        labels = _read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", PseudoSentenceLabel.from_json)
-        model = ReferenceEncoder(
-            len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind)
-        )
-        log.info("train-classifier[%s]: %d parameters", kind, model.parameter_count())
-        seed = seed_for(cfg.seed, "train", kind)
-        _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
-        if trajectory:
-            log.info("train-classifier[%s]: %d batches, last loss %.4f", kind, len(trajectory), trajectory[-1])
-        _atomic_save(
-            w / f"classifier_{kind}.ckpt",
-            lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
-        )
+    schema = load_schema(cfg.schema_path(kind), kind)
+    labels = _read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", PseudoSentenceLabel.from_json)
+    model = ReferenceEncoder(len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind))
+    seed = seed_for(cfg.seed, "train", kind)
+    _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
+    _atomic_save(
+        w / f"classifier_{kind}.ckpt",
+        lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
+    )
+    return f"train-classifier[{kind}]: {model.parameter_count()} parameters, {_batches_note(trajectory)}"
 
 
 def _phrase_inputs(w: Path):
@@ -243,21 +264,16 @@ def _run_phrase_labels(cfg: PipelineConfig):
         _write_lines(w / f"phrase_labels_{kind}.jsonl", [l.to_json() for l in labels])
 
 
-def _run_finetune(cfg: PipelineConfig):
+def _run_finetune(cfg: PipelineConfig, kind: str) -> str:
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
+    model = load_checkpoint(w / f"classifier_{kind}.ckpt")
+    labels = _read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
+    seed = seed_for(cfg.seed, "finetune", kind)
     by_id = {p.id: p for p in phrases}
-    for kind in _KINDS:
-        model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-        labels = _read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
-        seed = seed_for(cfg.seed, "finetune", kind)
-        _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
-        if trajectory:
-            log.info("finetune[%s]: %d batches, last loss %.4f", kind, len(trajectory), trajectory[-1])
-        _atomic_save(
-            w / f"classifier_{kind}_ft.ckpt",
-            lambda p: save_checkpoint(model, p, seed),
-        )
+    _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
+    _atomic_save(w / f"classifier_{kind}_ft.ckpt", lambda p: save_checkpoint(model, p, seed))
+    return f"finetune[{kind}]: {_batches_note(trajectory)}"
 
 
 def _run_classify(cfg: PipelineConfig):
@@ -366,7 +382,7 @@ STAGES = (
         "train-embed",
         ("embed_aspect.txt", "embed_sentiment.txt"),
         lambda c: {**asdict(c.embed), "seed": c.seed},
-        _run_train_embed,
+        lambda c: _per_kind(_run_train_embed, c),
     ),
     _Stage(
         "pseudo-label",
@@ -378,7 +394,7 @@ STAGES = (
         "train-classifier",
         ("classifier_aspect.ckpt", "classifier_sentiment.ckpt"),
         lambda c: {**asdict(c.train), "encoder_dim": c.encoder_dim, "seed": c.seed},
-        _run_train_classifier,
+        lambda c: _per_kind(_run_train_classifier, c),
     ),
     _Stage(
         "phrase-labels",
@@ -390,7 +406,7 @@ STAGES = (
         "finetune-phrases",
         ("classifier_aspect_ft.ckpt", "classifier_sentiment_ft.ckpt"),
         lambda c: {**asdict(c.train), "seed": c.seed},
-        _run_finetune,
+        lambda c: _per_kind(_run_finetune, c),
     ),
     _Stage(
         "classify",
@@ -423,20 +439,47 @@ def _file_digest(path) -> str:
 
 
 def _stage_hash(stage: _Stage, cfg: PipelineConfig, upstream: str) -> str:
-    payload = {"stage": stage.name, "params": stage.params(cfg), "upstream": upstream}
+    # the code version and artifact format, so that an upgrade re-runs stages
+    payload = {
+        "stage": stage.name,
+        "params": stage.params(cfg),
+        "upstream": upstream,
+        "version": __version__,
+        "checkpoint_format": CHECKPOINT_FORMAT,
+    }
     if stage.inputs is not None:
         payload["inputs"] = {name: _file_digest(p) for name, p in stage.inputs(cfg).items()}
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _run(stage: _Stage, cfg: PipelineConfig, last_good: str):
+    """Run one stage body; whatever it raises becomes a StageError."""
+    try:
+        stage.run(cfg)
+    except Exception as exc:
+        raise StageError(
+            stage.name,
+            f"stage {stage.name!r} failed ({exc}); last good stage artifact: {last_good}",
+        ) from exc
+
+
 def run_stage(cfg: PipelineConfig, name: str):
-    """Run a single stage, assuming its upstream artifacts exist."""
-    for stage in STAGES:
-        if stage.name == name:
-            stage.run(cfg)
-            return
-    raise ValidationError(f"unknown stage {name!r}")
+    """Run a single stage over the artifacts of the stage before it."""
+    names = [stage.name for stage in STAGES]
+    if name not in names:
+        raise ValidationError(f"unknown stage {name!r}")
+    i = names.index(name)
+    w = _workdir(cfg)
+    last_good = "(none)"
+    if i:
+        before = STAGES[i - 1]
+        missing = [a for a in before.artifacts if not (w / a).exists()]
+        if missing:
+            raise ValidationError(f"stage {name!r} needs {missing} in {w}; run stage {before.name!r} first")
+        last_good = str(w / before.artifacts[-1])
+    w.mkdir(parents=True, exist_ok=True)
+    _run(STAGES[i], cfg, last_good)
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
@@ -468,13 +511,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
             log.info("stage %s: skipped (up to date)", stage.name)
         else:
             log.info("stage %s: running", stage.name)
-            try:
-                stage.run(cfg)
-            except Exception as exc:
-                raise StageError(
-                    stage.name,
-                    f"stage {stage.name!r} failed ({exc}); last good stage artifact: {last_good}",
-                ) from exc
+            _run(stage, cfg, last_good)
             meta_path.write_text(
                 json.dumps({"hash": expected, "artifacts": list(stage.artifacts)}, sort_keys=True)
             )

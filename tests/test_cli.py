@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from opinionsum import pipeline
 from opinionsum.cli import build_config, main
+from opinionsum.embedding import TrainingError
 
 
 def _synth(tmp_path, n=100) -> dict:
@@ -80,6 +82,17 @@ class TestRun:
         (tmp_path / "work" / "clusters.jsonl").unlink()
         assert main(["run", "--config", str(config)]) == 2
         assert "cluster" in capsys.readouterr().err
+
+    def test_stage_subcommand_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def diverge(self):
+            raise TrainingError("diverged")
+
+        config = _config_file(tmp_path, _synth(tmp_path, n=60))
+        assert main(["extract", "--config", str(config)]) == 0  # creates the workdir
+        monkeypatch.setattr(pipeline.SphereTrainer, "run", diverge)
+        capsys.readouterr()
+        assert main(["train-embed", "--config", str(config)]) == 2
+        assert "error: stage 'train-embed' failed (diverged)" in capsys.readouterr().err
 
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
@@ -192,6 +205,15 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 3
         assert report["accuracy"] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("bad", ['{"x": 1}', '{"id": "p1"}', '{"label": "a"}', "[1, 2]", "not json"])
+    def test_classify_bad_label_row_names_file_and_line(self, tmp_path, capsys, bad):
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps({"id": "p0", "label": "a"}) + "\n")
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(json.dumps({"id": "p0", "label": "a"}) + "\n\n" + bad + "\n")
+        assert main(["eval", "classify", "--pred", str(broken), "--gold", str(good)]) == 1
+        assert f"{broken}:3:" in capsys.readouterr().err
 
     def test_diversity_and_intrusion_cycle(self, tmp_path, capsys):
         summary = {

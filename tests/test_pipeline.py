@@ -2,16 +2,19 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from opinionsum import pipeline
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
 from opinionsum.distill import DistillConfig
-from opinionsum.embedding import EmbedConfig
+from opinionsum.embedding import EmbedConfig, TrainingError
 from opinionsum.pipeline import (
     PipelineConfig,
     StageError,
@@ -52,6 +55,11 @@ def ran(tmp_path_factory):
 
 def _read_jsonl(path):
     return [json.loads(l) for l in open(path) if l.strip()]
+
+
+def _copy(cfg, dest):
+    shutil.copytree(cfg.workdir, dest)
+    return dataclasses.replace(cfg, workdir=str(dest))
 
 
 class TestFullRun:
@@ -125,13 +133,9 @@ class TestPhraseVectors:
             expect = model.encode(phrase_input(vocab, sentences[phrase.sentence_id], phrase))
             assert np.array_equal(row, expect)
 
-    def _copy(self, cfg, dest):
-        shutil.copytree(cfg.workdir, dest)
-        return dataclasses.replace(cfg, workdir=str(dest))
-
     def test_cluster_reads_only_phrases_labels_and_vectors(self, ran, tmp_path):
         cfg, _ = ran
-        copy = self._copy(cfg, tmp_path / "work")
+        copy = _copy(cfg, tmp_path / "work")
         w = Path(copy.workdir)
         expect = (w / "clusters.jsonl").read_bytes()
         keep = {"phrases.jsonl", "classified.jsonl", "phrase_vectors.npy"}
@@ -143,11 +147,12 @@ class TestPhraseVectors:
 
     def test_cluster_rejects_row_count_mismatch(self, ran, tmp_path):
         cfg, _ = ran
-        copy = self._copy(cfg, tmp_path / "work")
+        copy = _copy(cfg, tmp_path / "work")
         path = Path(copy.workdir) / "phrase_vectors.npy"
         np.save(path, np.load(path)[:-1])
-        with pytest.raises(ValueError, match="phrase_vectors.npy"):
+        with pytest.raises(StageError, match="phrase_vectors.npy") as err:
             run_stage(copy, "cluster")
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 class TestResume:
@@ -205,10 +210,67 @@ class TestResume:
         report = run_pipeline(moved)
         assert report["extract"] == "ran"
 
+    @pytest.mark.parametrize("name", ["__version__", "CHECKPOINT_FORMAT"])
+    def test_code_or_format_change_reruns_everything(self, ran, tmp_path, monkeypatch, name):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        monkeypatch.setattr(pipeline, name, "0.0.0-test")
+        assert list(run_pipeline(copy).values()) == ["ran"] * 9
+
     def test_force_reruns_all(self, ran):
         cfg, _ = ran
         report = run_pipeline(cfg, force=True)
         assert all(status == "ran" for status in report.values())
+
+
+class TestWorkers:
+    """The training stages run one forked worker per schema."""
+
+    _TRAINED = (
+        "embed_aspect.txt", "embed_sentiment.txt",
+        "classifier_aspect.ckpt", "classifier_sentiment.ckpt",
+        "classifier_aspect_ft.ckpt", "classifier_sentiment_ft.ckpt",
+    )
+
+    def test_bodies_in_process_match_workers(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        for name in self._TRAINED:
+            (tmp_path / "work" / name).unlink()
+        for body in (pipeline._run_train_embed, pipeline._run_train_classifier, pipeline._run_finetune):
+            for kind in ("aspect", "sentiment"):
+                assert f"[{kind}]: " in body(copy, kind)
+        for name in self._TRAINED:
+            assert (tmp_path / "work" / name).read_bytes() == (Path(cfg.workdir) / name).read_bytes(), name
+
+    def test_worker_error_is_stage_error(self, tmp_path, monkeypatch):
+        def diverge(self):
+            raise TrainingError("diverged in the worker")
+
+        monkeypatch.setattr(pipeline.SphereTrainer, "run", diverge)  # fork carries the patch
+        cfg = _small_config(tmp_path / "data", tmp_path / "work")
+        with pytest.raises(StageError, match="diverged in the worker") as err:
+            run_pipeline(cfg)
+        assert err.value.stage == "train-embed"
+        assert (tmp_path / "work" / ".meta" / "extract.json").exists()
+        assert not (tmp_path / "work" / ".meta" / "train-embed.json").exists()
+
+    def test_worker_death_is_stage_error(self, tmp_path, monkeypatch):
+        def hang(signum, frame):
+            raise TimeoutError("run_pipeline still waiting for a dead worker")
+
+        monkeypatch.setattr(pipeline.SphereTrainer, "run", lambda self: os._exit(3))
+        cfg = _small_config(tmp_path / "data", tmp_path / "work")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(StageError) as err:
+                run_pipeline(cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert err.value.stage == "train-embed"
+        assert not (tmp_path / "work" / ".meta" / "train-embed.json").exists()
 
 
 class TestValidation:
