@@ -82,6 +82,12 @@ class TestRun:
         (tmp_path / "work" / "clusters.jsonl").unlink()
         assert main(["run", "--config", str(config)]) == 2
         assert "cluster" in capsys.readouterr().err
+        # a stage subcommand checks only the previous stage's artifacts; an
+        # older missing input fails inside the stage
+        (tmp_path / "work" / "phrases.jsonl").unlink()
+        assert main(["cluster", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error: stage 'cluster' failed" in err and "phrases.jsonl" in err
 
     def test_stage_subcommand_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def diverge(self):
