@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,7 +23,12 @@ _ID_COMMENT = re.compile(r"#\s*(sent_id|review_id|target_id)\s*=\s*(\S+)\s*$")
 
 
 class CorpusError(ValueError):
-    """Malformed corpus, tree, or schema input."""
+    """Malformed corpus, tree, or schema input; line is the 1-based input
+    line it was found on, when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.message, self.line = message, line
 
 
 @dataclass
@@ -200,7 +206,7 @@ def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
         review = meta.get("review_id", review)
         target = meta.get("target_id", target)
         if sid in seen_ids:
-            raise CorpusError(f"duplicate sentence id {sid!r}")
+            raise CorpusError(f"duplicate sentence id {sid!r}", rows[0][0])
         seen_ids.add(sid)
         tokens = [Token(i, form, pos) for i, (_, form, pos, _, _) in enumerate(rows)]
         deps = []
@@ -209,9 +215,9 @@ def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
                 deps.append(DepArc(ROOT, i, rel))
                 continue
             if not 1 <= head <= len(rows):
-                raise CorpusError(f"sentence {sid}: HEAD {head} out of range")
+                raise CorpusError(f"sentence {sid}: HEAD {head} out of range", line_no)
             if head - 1 == i:
-                raise CorpusError(f"sentence {sid}: token {i + 1} is its own head")
+                raise CorpusError(f"sentence {sid}: token {i + 1} is its own head", line_no)
             deps.append(DepArc(head - 1, i, rel))
         sentences.append(Sentence(sid, target, review, tokens, deps))
         meta.clear()
@@ -229,24 +235,25 @@ def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
             continue
         cols = line.split("\t")
         if len(cols) != _CONLLU_COLS:
-            raise CorpusError(
-                f"line {line_no}: expected {_CONLLU_COLS} tab-separated columns, got {len(cols)}"
-            )
+            raise CorpusError(f"expected {_CONLLU_COLS} tab-separated columns, got {len(cols)}", line_no)
         tok_id, form, _, upos, xpos, _, head, rel = cols[:8]
         if "-" in tok_id or "." in tok_id:
             continue  # multiword-token range or empty node
         try:
             idx = int(tok_id)
         except ValueError:
-            raise CorpusError(f"line {line_no}: bad token id {tok_id!r}") from None
+            raise CorpusError(f"bad token id {tok_id!r}", line_no) from None
         if idx != len(rows) + 1:
-            raise CorpusError(f"line {line_no}: non-contiguous token id {idx}")
+            raise CorpusError(f"non-contiguous token id {idx}", line_no)
         if not form:
-            raise CorpusError(f"line {line_no}: empty FORM")
+            raise CorpusError("empty FORM", line_no)
+        if any(c.isspace() for c in form):
+            # every artifact downstream stores a word as one whitespace-free field
+            raise CorpusError("FORM contains whitespace", line_no)
         try:
             head_i = int(head)
         except ValueError:
-            raise CorpusError(f"line {line_no}: non-integer HEAD {head!r}") from None
+            raise CorpusError(f"non-integer HEAD {head!r}", line_no) from None
         pos = xpos if xpos != "_" else upos
         rows.append((line_no, form, pos, head_i, rel))
     flush()
@@ -355,22 +362,41 @@ def attach_trees(sentences: list[Sentence], tree_lines: Iterable[str]) -> None:
     lines = [ln.strip() for ln in tree_lines]
     if len(lines) != len(sentences):
         raise CorpusError(f"tree count {len(lines)} != sentence count {len(sentences)}")
-    for sent, line in zip(sentences, lines):
+    for line_no, (sent, line) in enumerate(zip(sentences, lines), 1):
         if not line:
             continue
-        tree = parse_bracketed_tree(line)
+        try:
+            tree = parse_bracketed_tree(line)
+        except CorpusError as exc:
+            raise CorpusError(exc.message, line_no) from None
         n = len(sent.tokens)
         if tree.span != (0, n) or len(tree.leaves()) != n:
-            raise CorpusError(f"sentence {sent.id}: tree has {len(tree.leaves())} leaves for {n} tokens")
+            raise CorpusError(
+                f"sentence {sent.id}: tree has {len(tree.leaves())} leaves for {n} tokens", line_no
+            )
         sent.tree = tree
 
 
+@contextmanager
+def _located(path):
+    """Re-raise a CorpusError with its message prefixed by path (and line)."""
+    try:
+        yield
+    except CorpusError as exc:
+        where = str(path) if exc.line is None else f"{path}:{exc.line}"
+        raise CorpusError(f"{where}: {exc.message}") from None
+
+
 def load_corpus(conllu_path, trees_path=None) -> list[Sentence]:
+    """Parse a CoNLL-U file and attach its trees; a CorpusError names the
+    file and, when known, the line."""
     text = Path(conllu_path).read_text(encoding="utf-8")
-    sentences = parse_conllu(text)
+    with _located(conllu_path):
+        sentences = parse_conllu(text)
     if trees_path is not None:
-        tree_text = Path(trees_path).read_text(encoding="utf-8")
-        attach_trees(sentences, tree_text.splitlines())
+        tree_lines = Path(trees_path).read_text(encoding="utf-8").splitlines()
+        with _located(trees_path):
+            attach_trees(sentences, tree_lines)
     return sentences
 
 
@@ -395,19 +421,21 @@ def parse_schema(lines: str | Iterable[str], kind: str) -> CategorySchema:
     if isinstance(lines, str):
         lines = lines.splitlines()
     categories = []
-    for raw in lines:
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise CorpusError(f"schema line without ':': {line!r}")
+            raise CorpusError(f"schema line without ':': {line!r}", line_no)
         name, rest = line.split(":", 1)
         categories.append((name.strip(), [k.casefold() for k in rest.split()]))
     return CategorySchema(kind, categories)
 
 
 def load_schema(path, kind: str) -> CategorySchema:
-    return parse_schema(Path(path).read_text(encoding="utf-8"), kind)
+    text = Path(path).read_text(encoding="utf-8")
+    with _located(path):
+        return parse_schema(text, kind)
 
 
 def sentence_to_json(sentence: Sentence) -> str:
@@ -437,7 +465,8 @@ def save_manifest(sentences: Iterable[Sentence], path) -> None:
 
 
 def load_manifest(path) -> list[Sentence]:
-    return [sentence_from_json(line) for line in _nonempty_lines(path)]
+    with _located(path):
+        return [sentence_from_json(line) for line in _nonempty_lines(path)]
 
 
 def _nonempty_lines(path) -> Iterator[str]:

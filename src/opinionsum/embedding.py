@@ -32,6 +32,8 @@ from .corpus import CategorySchema, Sentence, Vocabulary
 # Exponent flattening the unigram negative-sampling distribution.
 _NEG_POWER = 0.75
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 class TrainingError(RuntimeError):
     pass
@@ -204,45 +206,65 @@ def loss_intra(space: SphereSpace, schema: CategorySchema) -> float:
     return _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)[0]
 
 
-def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs):
+def _row_positions(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ids (all in [0, n)) ascending, and an n-long table
+    giving each one's position among them."""
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    pos = np.empty(n, dtype=np.intp)
+    pos[rows] = np.arange(len(rows))
+    return rows, pos
+
+
+def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep=_NO_ROWS):
     """Value and gradients of the negative-sampling objective for one
     sentence's positive pairs: word-context pairs (ww_u, ww_v), then
     word-sentence pairs (wx_u), then the single sentence-category pair, with
     pre-sampled negative word ids negs of shape (P, K) in that pair order.
 
-    Returns (value, word_idx, word_grads, d_sent, d_cat) with word gradients
-    as parallel (index, row) arrays for scatter-accumulation.
+    The u side of every pair is a word of ww_u/wx_u or the sentence, so with
+    U = [W[Q]; s] over the distinct such words Q and the touched rows T (all
+    word ids given, and keep), every score is an entry of H = U @ W[T].T and
+    every gradient is read off one coefficient matrix R of H's shape: W[T]
+    gets R.T @ U and U gets R @ W[T].  A word-sentence pair (w, s) is scored
+    as H[s, w], so its w gradient arrives through R.T @ U.  Cost is
+    O(P*K + |Q| * |T| * dim), plus two length-V index tables.
+
+    Returns (value, rows, grads, d_sent, d_cat): rows are the touched word
+    ids ascending (keep included), grads their summed gradients.
     """
-    nw, nx = len(ww_u), len(wx_u)
-    p = nw + nx + 1
-    dim = word_vecs.shape[1]
-    u = np.empty((p, dim))
-    v = np.empty((p, dim))
-    u[:nw] = word_vecs[ww_u]
-    u[nw : nw + nx] = word_vecs[wx_u]
-    u[-1] = sent_vec
-    v[:nw] = word_vecs[ww_v]
-    v[nw : nw + nx] = sent_vec
-    v[-1] = cat_vec
-    neg = word_vecs[negs]  # (P, K, dim)
+    n_words = len(word_vecs)
+    u_words = np.concatenate([ww_u, wx_u])
+    q_ids, q_pos = _row_positions(u_words, n_words)
+    q = len(q_ids)
+    rows, t_pos = _row_positions(np.concatenate([q_ids, ww_v, negs.ravel(), keep]), n_words)
+    t = len(rows)
+    w_t = word_vecs[rows]
+    q_t = t_pos[q_ids]  # Q's rows of W[T]
+    u = np.vstack([w_t[q_t], sent_vec])
+    h = u @ w_t.T  # (q + 1, t)
 
-    s_pos = np.einsum("pd,pd->p", u, v)
-    s_neg = np.einsum("pd,pkd->pk", u, neg)
-    value = float(-np.sum(np.logaddexp(0.0, -s_pos)) - np.sum(np.logaddexp(0.0, s_neg)))
+    # flat H index of every positive pair but (sentence, category), then of
+    # every negative
+    u_rows = np.append(q_pos[ww_u], np.full(len(wx_u), q))
+    pos_flat = u_rows * t + t_pos[np.concatenate([ww_v, wx_u])]
+    neg_u = np.append(q_pos[u_words], q)
+    flat = np.concatenate([pos_flat, (neg_u[:, None] * t + t_pos[negs]).ravel()])
+    # signed scores: log sigmoid(z) summed over every pair and negative
+    z = h.ravel()[flat]
+    z[len(pos_flat) :] *= -1.0
+    s_cat = float(sent_vec @ cat_vec)
+    value = float(-np.sum(np.logaddexp(0.0, -z)) - np.logaddexp(0.0, -s_cat))
 
-    sig_pos = 1.0 / (1.0 + np.exp(-s_pos))
-    sig_neg = 1.0 / (1.0 + np.exp(-s_neg))
-    grad_u = (1.0 - sig_pos)[:, None] * v - np.einsum("pk,pkd->pd", sig_neg, neg)
-    grad_v = (1.0 - sig_pos)[:, None] * u
-    grad_neg = -sig_neg[..., None] * u[:, None, :]
-
-    word_idx = np.concatenate([ww_u, ww_v, wx_u, negs.ravel()])
-    word_grads = np.concatenate(
-        [grad_u[:nw], grad_v[:nw], grad_u[nw : nw + nx], grad_neg.reshape(-1, dim)]
-    )
-    d_sent = grad_v[nw : nw + nx].sum(axis=0) + grad_u[-1]
-    d_cat = grad_v[-1]
-    return value, word_idx, word_grads, d_sent, d_cat
+    coef = 1.0 / (1.0 + np.exp(z))  # d log sigmoid(z) / dz
+    coef[len(pos_flat) :] *= -1.0
+    r = np.bincount(flat, weights=coef, minlength=(q + 1) * t).reshape(q + 1, t)
+    grads = r.T @ u
+    d_u = r @ w_t
+    grads[q_t] += d_u[:q]
+    a_cat = 1.0 / (1.0 + math.exp(s_cat))
+    return value, rows, grads, d_u[q] + a_cat * cat_vec, a_cat * sent_vec
 
 
 def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +273,12 @@ def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero((gap > 0) & (gap <= h))
 
 
-def _renorm_rows(table: np.ndarray, rows: np.ndarray | None = None) -> None:
-    sub = table if rows is None else table[rows]
-    norms = np.sqrt(np.einsum("ij,ij->i", sub, sub))[:, None]
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of m scaled to unit norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
     if np.any(norms < 1e-12):
         raise TrainingError("vector collapsed to zero norm")
-    if rows is None:
-        table /= norms
-    else:
-        table[rows] = sub / norms
+    return m / norms
 
 
 def _max_norm_dev(table: np.ndarray) -> float:
@@ -280,7 +299,7 @@ class SphereTrainer:
 
     Deterministic given the seed: sentences are visited in corpus order and
     all sampling comes from a single generator.  Each sentence's pair indices
-    are built once here; each step draws fresh negatives.
+    are built once here; each epoch draws all its negatives in one call.
     """
 
     def __init__(
@@ -308,6 +327,9 @@ class SphereTrainer:
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)
             self._sents.append((sent.id, space.sent_row(sent.id), ids, ids[ci], ids[cj]))
+        # sentence i's pairs (window, word-sentence, sentence-category) are
+        # rows bounds[i]:bounds[i + 1] of the epoch's negatives
+        self._bounds = np.cumsum([0] + [len(u) + len(ids) + 1 for _, _, ids, u, _ in self._sents])
         total = counts.sum()
         if total == 0:
             raise TrainingError("no in-vocabulary tokens in corpus")
@@ -324,8 +346,9 @@ class SphereTrainer:
     def _step(self, sent: tuple, cat_row: int, negs: np.ndarray, norm_check: bool) -> float:
         label, row, ids, ww_u, ww_v = sent
         space, lr = self.space, self.config.learning_rate
-        value, widx, wgrads, d_sent, d_cat = _pair_value_grads(
-            space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs
+        value, rows, grads, d_sent, d_cat = _pair_value_grads(
+            space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs,
+            self._kw_ids,
         )
         inter_v, d_cats = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, kw_grads, intra_cat_grad = _intra_value_grad(
@@ -335,30 +358,15 @@ class SphereTrainer:
         if not math.isfinite(total):
             raise TrainingError(f"non-finite loss at sentence {label!r}")
 
-        all_idx = np.concatenate([widx, self._kw_ids])
-        all_grads = np.concatenate([wgrads, kw_grads])
-        # sort + segment-sum (much faster than np.add.at for these sizes)
-        order = np.argsort(all_idx, kind="stable")
-        sorted_idx = all_idx[order]
-        is_start = np.empty(len(sorted_idx), dtype=bool)
-        is_start[0] = True
-        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        uniq = sorted_idx[starts]
-        acc = np.add.reduceat(all_grads[order], starts, axis=0)
-        space.word_vecs[uniq] += lr * acc
-        _renorm_rows(space.word_vecs, uniq)
-
-        space.sent_vecs[row] += lr * d_sent
-        _renorm_rows(space.sent_vecs, np.asarray([row]))
-
+        np.add.at(grads, np.searchsorted(rows, self._kw_ids), kw_grads)
+        space.word_vecs[rows] = _unit_rows(space.word_vecs[rows] + lr * grads)
+        space.sent_vecs[row] = _unit_rows((space.sent_vecs[row] + lr * d_sent)[None, :])
         d_cats += intra_cat_grad
         d_cats[cat_row] += d_cat
-        space.cat_vecs += lr * d_cats
-        _renorm_rows(space.cat_vecs)
+        space.cat_vecs[:] = _unit_rows(space.cat_vecs + lr * d_cats)
 
         if norm_check:
-            for table in (space.word_vecs[uniq], space.sent_vecs[[row]], space.cat_vecs):
+            for table in (space.word_vecs[rows], space.sent_vecs[[row]], space.cat_vecs):
                 dev = _max_norm_dev(table)
                 if not dev <= 1e-6:
                     raise TrainingError(f"norm deviation {dev:.3g} after step at {label!r}")
@@ -367,18 +375,16 @@ class SphereTrainer:
     def train_epoch(self, norm_check: bool = False) -> TrainStats:
         space = self.space
         assigned = np.argmax(space.sent_vecs @ space.cat_vecs.T, axis=1)
+        # one draw for the epoch: the same stream as a draw per sentence
+        negs = self._sample_negatives(int(self._bounds[-1]))
         gen_value = 0.0
-        n_pairs = 0
-        for sent in self._sents:
-            _, row, ids, ww_u, _ = sent
-            negs = self._sample_negatives(len(ww_u) + len(ids) + 1)
-            gen_value += self._step(sent, int(assigned[row]), negs, norm_check)
-            n_pairs += len(negs)
+        for sent, lo, hi in zip(self._sents, self._bounds[:-1], self._bounds[1:]):
+            gen_value += self._step(sent, int(assigned[sent[1]]), negs[lo:hi], norm_check)
         inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, _, _ = _intra_value_grad(
             space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra
         )
-        return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
+        return TrainStats(-gen_value, inter_v, intra_v, len(negs))
 
     def run(self, epochs: int | None = None, norm_check: bool = False) -> list[TrainStats]:
         n = self.config.epochs if epochs is None else epochs

@@ -33,7 +33,7 @@ from .classifier import (
     train_on_sentences,
 )
 from .clustering import ClusterConfig, build_summary
-from .corpus import Vocabulary, build_vocab, load_corpus, load_manifest, load_schema, save_manifest
+from .corpus import CorpusError, Vocabulary, build_vocab, load_corpus, load_manifest, load_schema, save_manifest
 from .distill import (
     DistillConfig,
     PseudoPhraseLabel,
@@ -139,10 +139,15 @@ def seed_for(base: int, *tags: str) -> int:
 
 
 def _atomic_save(path: Path, saver):
-    """Run saver(tmp_path), then rename over the target."""
+    """Run saver(tmp_path), then rename over the target; if either raises,
+    remove the temporary file and re-raise."""
     tmp = path.with_name(path.name + ".tmp")
-    saver(tmp)
-    os.replace(tmp, path)
+    try:
+        saver(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_lines(path: Path, lines):
@@ -454,9 +459,12 @@ def _stage_hash(stage: _Stage, cfg: PipelineConfig, upstream: str) -> str:
 
 
 def _run(stage: _Stage, cfg: PipelineConfig, last_good: str):
-    """Run one stage body; whatever it raises becomes a StageError."""
+    """Run one stage body; whatever it raises becomes a StageError, except a
+    CorpusError, which names the malformed input file itself."""
     try:
         stage.run(cfg)
+    except CorpusError:
+        raise
     except Exception as exc:
         raise StageError(
             stage.name,

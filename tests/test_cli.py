@@ -100,6 +100,35 @@ class TestRun:
         assert main(["train-embed", "--config", str(config)]) == 2
         assert "error: stage 'train-embed' failed (diverged)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            ("head", "corpus.conllu:4: non-integer HEAD 'zz'"),
+            ("tree", "corpus.trees:1: offset"),  # ... unbalanced parentheses
+            ("form", "corpus.conllu:4: FORM contains whitespace"),
+        ],
+    )
+    def test_malformed_corpus_exits_1_naming_file_and_line(self, tmp_path, capsys, bad, expected):
+        paths = _synth(tmp_path, n=20)
+        if bad == "tree":
+            lines = paths["trees"].read_text().splitlines()
+            paths["trees"].write_text("\n".join([lines[0] + ")"] + lines[1:]) + "\n")
+        else:
+            lines = paths["corpus"].read_text().splitlines()
+            cols = lines[3].split("\t")  # the first token row, after three id comments
+            if bad == "head":
+                cols[6] = "zz"
+            else:
+                cols[1] = "the x"
+            lines[3] = "\t".join(cols)
+            paths["corpus"].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(_config_file(tmp_path, paths))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths['corpus'].parent}") and expected in err
+        assert "Traceback" not in err and "error: stage" not in err
+        assert not list((tmp_path / "work").glob("*.tmp"))
+
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
         config.write_text("[1, 2]")

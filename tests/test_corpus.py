@@ -10,6 +10,8 @@ from opinionsum.corpus import (
     Vocabulary,
     attach_trees,
     build_vocab,
+    load_corpus,
+    load_schema,
     parse_bracketed_tree,
     parse_conllu,
     parse_schema,
@@ -47,6 +49,11 @@ class TestParseConllu:
     def test_wrong_column_count(self):
         bad = "1\tthe\t_\tDET\tDT\n"
         with pytest.raises(CorpusError, match="line 1"):
+            parse_conllu(bad)
+
+    def test_form_with_whitespace_rejected(self):
+        bad = SIMPLE.replace("\tgreat\t", "\tthe x\t")
+        with pytest.raises(CorpusError, match=r"^line 5: FORM contains whitespace$"):
             parse_conllu(bad)
 
     def test_dangling_head(self):
@@ -152,6 +159,47 @@ class TestParseBracketedTree:
     def test_attach_count_mismatch(self):
         with pytest.raises(CorpusError, match="count"):
             attach_trees(parse_conllu(SIMPLE), [])
+
+
+class TestLoadCorpus:
+    def _write(self, tmp_path, conllu, trees=None):
+        (tmp_path / "c.conllu").write_text(conllu)
+        if trees is not None:
+            (tmp_path / "c.trees").write_text(trees)
+            return tmp_path / "c.conllu", tmp_path / "c.trees"
+        return tmp_path / "c.conllu", None
+
+    def test_conllu_error_names_file_and_line(self, tmp_path):
+        paths = self._write(tmp_path, SIMPLE.replace("\t3\tamod", "\tzz\tamod"))
+        with pytest.raises(CorpusError, match=r"c\.conllu:5: non-integer HEAD 'zz'$"):
+            load_corpus(*paths)
+
+    def test_sentence_level_error_names_token_line(self, tmp_path):
+        paths = self._write(tmp_path, SIMPLE.replace("\t3\tamod", "\t9\tamod"))
+        with pytest.raises(CorpusError, match=r"c\.conllu:5: sentence a1: HEAD 9 out of range$"):
+            load_corpus(*paths)
+
+    def test_tree_error_names_file_and_line(self, tmp_path):
+        two = SIMPLE + "\n" + SIMPLE.replace("a1", "a2")
+        tree = "(NP (DT the) (JJ great) (NN pizza))"
+        paths = self._write(tmp_path, two, f"{tree}\n(NP (DT the) (JJ great) (NN pizza)\n")
+        with pytest.raises(CorpusError, match=r"c\.trees:2: offset 0: unbalanced"):
+            load_corpus(*paths)
+        paths = self._write(tmp_path, two, f"{tree}\n(NP (NN pizza))\n")
+        with pytest.raises(CorpusError, match=r"c\.trees:2: sentence a2: tree has 1 leaves"):
+            load_corpus(*paths)
+        paths = self._write(tmp_path, two, f"{tree}\n")
+        with pytest.raises(CorpusError, match=r"c\.trees: tree count 1 != sentence count 2$"):
+            load_corpus(*paths)
+
+    def test_schema_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# aspects\na: x\nno colon here\n")
+        with pytest.raises(CorpusError, match=r"s\.txt:3: schema line without ':'"):
+            load_schema(path, "aspect")
+        path.write_text("a: x\n")
+        with pytest.raises(CorpusError, match=r"s\.txt: schema needs at least 2 categories$"):
+            load_schema(path, "aspect")
 
 
 class TestBuildVocab:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opinionsum import embedding
 from opinionsum.corpus import build_vocab, load_corpus, load_schema, parse_schema
 from opinionsum.embedding import (
     EmbedConfig,
@@ -23,7 +24,7 @@ from opinionsum.embedding import (
     sentence_scores,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import make_sentence, naive_window_pairs
+from util import make_sentence, naive_pair_value_grads, naive_window_pairs
 
 
 def _toy_vocab(words):
@@ -220,6 +221,65 @@ class TestGradients:
         _assert_close(d_cat, _fd(value, cat))
 
 
+class TestPairGradsOracle:
+    """_pair_value_grads against the per-pair reference in tests/util.py."""
+
+    def _check(self, words, sent, cat, ww_u, ww_v, wx_u, negs, keep=()):
+        args = (words, sent, cat, np.asarray(ww_u, dtype=np.intp), np.asarray(ww_v, dtype=np.intp),
+                np.asarray(wx_u, dtype=np.intp), np.asarray(negs, dtype=np.intp))
+        keep = np.asarray(keep, dtype=np.intp)
+        value, rows, grads, d_sent, d_cat = _pair_value_grads(*args, keep)
+        want = naive_pair_value_grads(*args, keep)
+        assert value == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert rows.tolist() == want[1].tolist()
+        for got, ref in zip((grads, d_sent, d_cat), want[2:]):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def _vectors(self, seed, n_words=9, dim=5):
+        rng = np.random.default_rng(seed)
+        unit = rng.normal(size=(n_words + 2, dim))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        return rng, unit[:n_words], unit[n_words], unit[n_words + 1]
+
+    def test_random_sentences(self):
+        for seed in range(20):
+            rng, words, sent, cat = self._vectors(seed)
+            ids = rng.integers(0, len(words), size=int(rng.integers(1, 8)))
+            ci, cj = _window_pairs(len(ids), int(rng.integers(1, 4)))
+            negs = rng.integers(0, len(words), size=(len(ci) + len(ids) + 1, 3))
+            self._check(words, sent, cat, ids[ci], ids[cj], ids, negs)
+
+    def test_unnormalized_and_unrelated_pair_ids(self):
+        # the finite-difference inputs: window u words missing from wx_u
+        rng = np.random.default_rng(4)
+        words = rng.normal(size=(6, 4))
+        self._check(words, rng.normal(size=4), rng.normal(size=4), [0, 1, 2], [1, 0, 3], [0, 2, 4],
+                    rng.integers(0, 6, size=(7, 2)))
+
+    def test_repeated_words(self):
+        _, words, sent, cat = self._vectors(1)
+        ids = np.array([3, 3, 5, 3, 5])
+        ci, cj = _window_pairs(len(ids), 2)
+        negs = np.full((len(ci) + len(ids) + 1, 2), 7)
+        self._check(words, sent, cat, ids[ci], ids[cj], ids, negs)
+
+    def test_negative_is_sentence_word_or_keyword(self):
+        _, words, sent, cat = self._vectors(2)
+        ids = np.array([1, 4, 6])
+        ci, cj = _window_pairs(len(ids), 1)
+        negs = np.tile([4, 6, 0, 8], (len(ci) + len(ids) + 1, 1))  # 4, 6 in the sentence; 0, 8 keywords
+        self._check(words, sent, cat, ids[ci], ids[cj], ids, negs, keep=[0, 8, 8, 4])
+
+    def test_one_token_sentence(self):
+        _, words, sent, cat = self._vectors(3)
+        self._check(words, sent, cat, [], [], [2], [[2, 5], [0, 2]], keep=[5])
+
+    def test_sentence_without_known_token(self):
+        _, words, sent, cat = self._vectors(5)
+        self._check(words, sent, cat, [], [], [], [[3, 3, 1]])
+        self._check(words, sent, cat, [], [], [], [[3, 3, 1]], keep=[0])
+
+
 def _small_planted(tmp_path, n_sentences=240, seed=3):
     spec = SyntheticSpec(
         n_sentences=n_sentences, min_sentence_len=8, max_sentence_len=16, vocab_per_category=12
@@ -293,6 +353,38 @@ class TestTraining:
         without = SphereTrainer(init_space(vocab, schema, config, ids), sentences, schema, config)
         for a, b in zip(with_it.run(), without.run()):
             assert a.n_pairs == b.n_pairs + 1  # only the (sentence, category) pair
+
+    def test_matches_reference_stepped_trainer(self, tmp_path, monkeypatch):
+        sentences, schema, vocab = _small_planted(tmp_path, n_sentences=60)
+        config = EmbedConfig(dim=16, epochs=2)
+
+        def train():
+            space = init_space(vocab, schema, config, [s.id for s in sentences], seed=8)
+            stats = SphereTrainer(space, sentences, schema, config, seed=8).run()
+            return space, stats
+
+        space, stats = train()
+        monkeypatch.setattr(embedding, "_pair_value_grads", naive_pair_value_grads)
+        ref, ref_stats = train()
+        for a, b in zip(stats, ref_stats):
+            assert a.n_pairs == b.n_pairs
+            assert a.gen_loss == pytest.approx(b.gen_loss, rel=1e-10)
+        for got, want in ((space.word_vecs, ref.word_vecs), (space.sent_vecs, ref.sent_vecs),
+                          (space.cat_vecs, ref.cat_vecs)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_epoch_negatives_equal_per_sentence_draws(self, tmp_path, monkeypatch):
+        sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
+        config = EmbedConfig(dim=8, epochs=1)
+        space = init_space(vocab, schema, config, [s.id for s in sentences])
+        trainer = SphereTrainer(space, sentences, schema, config, seed=6)
+        seen = []
+        monkeypatch.setattr(trainer, "_step", lambda sent, cat, negs, check: seen.append(negs.copy()) or 0.0)
+        trainer.train_epoch()
+        fresh = SphereTrainer(space, sentences, schema, config, seed=6)
+        assert len(seen) == len(sentences)
+        for (_, _, ids, ww_u, _), negs in zip(fresh._sents, seen):
+            assert np.array_equal(negs, fresh._sample_negatives(len(ww_u) + len(ids) + 1))
 
     def test_empty_corpus_rejected(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)

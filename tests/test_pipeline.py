@@ -312,6 +312,21 @@ class TestValidation:
         assert "classified.jsonl" in str(err.value)
 
 
+class TestAtomicSave:
+    def test_failed_saver_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "embed_aspect.txt"
+        target.write_text("old")
+
+        def saver(path):
+            path.write_text("half")
+            raise ValueError("word id 'the x' contains whitespace")
+
+        with pytest.raises(ValueError, match="whitespace"):
+            pipeline._atomic_save(target, saver)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embed_aspect.txt"]
+        assert target.read_text() == "old"
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical_summaries(self, tmp_path):
         cfg_a = _small_config(tmp_path / "data_a", tmp_path / "work_a", seed=9)

@@ -71,3 +71,49 @@ def naive_window_pairs(n, h):
                 ci.append(i)
                 cj.append(j)
     return ci, cj
+
+
+def naive_pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep=()):
+    """Reference for embedding._pair_value_grads, same arguments and returns:
+    gathers every pair's u and v rows and a (P, K, dim) tensor of negatives,
+    forms one gradient row per (pair, side, negative), then sums them per word
+    id by a stable sort and a segment sum (keep ids add zero rows)."""
+    keep = np.asarray(keep, dtype=np.intp)
+    nw, nx = len(ww_u), len(wx_u)
+    p = nw + nx + 1
+    dim = word_vecs.shape[1]
+    u = np.empty((p, dim))
+    v = np.empty((p, dim))
+    u[:nw] = word_vecs[ww_u]
+    u[nw : nw + nx] = word_vecs[wx_u]
+    u[-1] = sent_vec
+    v[:nw] = word_vecs[ww_v]
+    v[nw : nw + nx] = sent_vec
+    v[-1] = cat_vec
+    neg = word_vecs[negs]  # (P, K, dim)
+
+    s_pos = np.einsum("pd,pd->p", u, v)
+    s_neg = np.einsum("pd,pkd->pk", u, neg)
+    value = float(-np.sum(np.logaddexp(0.0, -s_pos)) - np.sum(np.logaddexp(0.0, s_neg)))
+
+    sig_pos = 1.0 / (1.0 + np.exp(-s_pos))
+    sig_neg = 1.0 / (1.0 + np.exp(-s_neg))
+    grad_u = (1.0 - sig_pos)[:, None] * v - np.einsum("pk,pkd->pd", sig_neg, neg)
+    grad_v = (1.0 - sig_pos)[:, None] * u
+    grad_neg = -sig_neg[..., None] * u[:, None, :]
+
+    word_idx = np.concatenate([ww_u, ww_v, wx_u, negs.ravel(), keep])
+    word_grads = np.concatenate(
+        [grad_u[:nw], grad_v[:nw], grad_u[nw : nw + nx], grad_neg.reshape(-1, dim), np.zeros((len(keep), dim))]
+    )
+    order = np.argsort(word_idx, kind="stable")
+    sorted_idx = word_idx[order]
+    is_start = np.empty(len(sorted_idx), dtype=bool)
+    is_start[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    rows = sorted_idx[starts]
+    grads = np.add.reduceat(word_grads[order], starts, axis=0)
+    d_sent = grad_v[nw : nw + nx].sum(axis=0) + grad_u[-1]
+    d_cat = grad_v[-1]
+    return value, rows, grads, d_sent, d_cat
