@@ -163,22 +163,23 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("min_count "):
-            raise CorpusError(f"{path}: missing min_count header")
-        try:
-            min_count = int(lines[0][len("min_count ") :])
-        except ValueError:
-            raise CorpusError(f"{path}:1: min_count is not an integer") from None
-        words = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
+        with _located(path):
+            if not lines or not lines[0].startswith("min_count "):
+                raise CorpusError("missing min_count header")
             try:
-                w, c = line.split("\t")
-                words.append((w, int(c)))
+                min_count = int(lines[0][len("min_count ") :])
             except ValueError:
-                raise CorpusError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
-        return cls(words, min_count)
+                raise CorpusError("min_count is not an integer", 1) from None
+            words = []
+            for lineno, line in enumerate(lines[1:], start=2):
+                if not line:
+                    continue
+                try:
+                    w, c = line.split("\t")
+                    words.append((w, int(c)))
+                except ValueError:
+                    raise CorpusError(f"expected 'word<TAB>count', got {line!r}", lineno) from None
+            return cls(words, min_count)
 
 
 def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:

@@ -229,7 +229,9 @@ def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep
     every gradient is read off one coefficient matrix R of H's shape: W[T]
     gets R.T @ U and U gets R @ W[T].  A word-sentence pair (w, s) is scored
     as H[s, w], so its w gradient arrives through R.T @ U.  Cost is
-    O(P*K + |Q| * |T| * dim), plus two length-V index tables.
+    O(P*K + |Q| * |T| * dim), plus two length-V index tables; |T| nears P*K
+    when the vocabulary is large, so on long sentences the products grow
+    with the square of the sentence length.
 
     Returns (value, rows, grads, d_sent, d_cat): rows are the touched word
     ids ascending (keep included), grads their summed gradients.
@@ -299,7 +301,7 @@ class SphereTrainer:
 
     Deterministic given the seed: sentences are visited in corpus order and
     all sampling comes from a single generator.  Each sentence's pair indices
-    are built once here; each epoch draws all its negatives in one call.
+    are built once here.
     """
 
     def __init__(
@@ -327,9 +329,6 @@ class SphereTrainer:
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)
             self._sents.append((sent.id, space.sent_row(sent.id), ids, ids[ci], ids[cj]))
-        # sentence i's pairs (window, word-sentence, sentence-category) are
-        # rows bounds[i]:bounds[i + 1] of the epoch's negatives
-        self._bounds = np.cumsum([0] + [len(u) + len(ids) + 1 for _, _, ids, u, _ in self._sents])
         total = counts.sum()
         if total == 0:
             raise TrainingError("no in-vocabulary tokens in corpus")
@@ -375,16 +374,18 @@ class SphereTrainer:
     def train_epoch(self, norm_check: bool = False) -> TrainStats:
         space = self.space
         assigned = np.argmax(space.sent_vecs @ space.cat_vecs.T, axis=1)
-        # one draw for the epoch: the same stream as a draw per sentence
-        negs = self._sample_negatives(int(self._bounds[-1]))
         gen_value = 0.0
-        for sent, lo, hi in zip(self._sents, self._bounds[:-1], self._bounds[1:]):
-            gen_value += self._step(sent, int(assigned[sent[1]]), negs[lo:hi], norm_check)
+        n_pairs = 0
+        for sent in self._sents:
+            _, row, ids, ww_u, _ = sent
+            negs = self._sample_negatives(len(ww_u) + len(ids) + 1)
+            gen_value += self._step(sent, int(assigned[row]), negs, norm_check)
+            n_pairs += len(negs)
         inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, _, _ = _intra_value_grad(
             space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra
         )
-        return TrainStats(-gen_value, inter_v, intra_v, len(negs))
+        return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
     def run(self, epochs: int | None = None, norm_check: bool = False) -> list[TrainStats]:
         n = self.config.epochs if epochs is None else epochs

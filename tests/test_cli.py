@@ -129,6 +129,17 @@ class TestRun:
         assert "Traceback" not in err and "error: stage" not in err
         assert not list((tmp_path / "work").glob("*.tmp"))
 
+    def test_corrupted_vocab_exits_1_naming_file(self, tmp_path, capsys):
+        config = _config_file(tmp_path, _synth(tmp_path, n=20))
+        assert main(["extract", "--config", str(config)]) == 0
+        vocab = tmp_path / "work" / "vocab.txt"
+        lines = vocab.read_text().splitlines()
+        vocab.write_text("\n".join(lines + [lines[1]]) + "\n")  # one word twice
+        capsys.readouterr()
+        assert main(["train-embed", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vocab}: duplicate word in vocabulary")
+
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
         config.write_text("[1, 2]")

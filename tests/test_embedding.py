@@ -373,19 +373,6 @@ class TestTraining:
                           (space.cat_vecs, ref.cat_vecs)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
-    def test_epoch_negatives_equal_per_sentence_draws(self, tmp_path, monkeypatch):
-        sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
-        config = EmbedConfig(dim=8, epochs=1)
-        space = init_space(vocab, schema, config, [s.id for s in sentences])
-        trainer = SphereTrainer(space, sentences, schema, config, seed=6)
-        seen = []
-        monkeypatch.setattr(trainer, "_step", lambda sent, cat, negs, check: seen.append(negs.copy()) or 0.0)
-        trainer.train_epoch()
-        fresh = SphereTrainer(space, sentences, schema, config, seed=6)
-        assert len(seen) == len(sentences)
-        for (_, _, ids, ww_u, _), negs in zip(fresh._sents, seen):
-            assert np.array_equal(negs, fresh._sample_negatives(len(ww_u) + len(ids) + 1))
-
     def test_empty_corpus_rejected(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
         config = EmbedConfig(dim=12)
