@@ -51,7 +51,7 @@ class TrainConfig:
     epochs: int = 1
 
     def validate(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -5,6 +5,11 @@ singletons and the closest pair of clusters merges repeatedly until the
 minimal linkage distance exceeds the threshold.  With complete linkage the
 stopping rule guarantees every intra-cluster pairwise Euclidean distance
 stays within the threshold.
+
+The merge order does not depend on the threshold, so the work splits in two:
+`merge_sequence` records every merge of a group once, and a cut applies the
+prefix whose distances are within the threshold.  A threshold change then
+re-runs only the cut.
 """
 
 from dataclasses import dataclass
@@ -20,23 +25,86 @@ class ClusterConfig:
     linkage: str = "complete"
 
     def validate(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # also rejects NaN
             raise ValueError("threshold must be positive")
         if self.linkage not in _LINKAGES:
             raise ValueError(f"linkage must be one of {_LINKAGES}")
 
 
-def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> list[list[str]]:
-    """Cluster (id, vector) points; returns member-id lists.
+def merge_sequence(vecs: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+    """Every greedy merge of the rows of vecs (finite, one point per row), in
+    the order they happen: (i, j, distance) folds cluster j into cluster i < j.
 
     Euclidean base metric; the linkage matrix is updated in place on merge
     (max/min for complete/single reproduce a from-scratch recomputation
-    bit-for-bit; average uses the size-weighted update).  Deterministic:
-    points are processed in id order and distance ties break on the pair
-    with the lexicographically smallest min-member-id keys, so permuting
-    the input cannot change the partition.  Clusters come back ordered by
-    smallest member id, members ascending.  Memory beyond the input is the
-    n x n linkage matrix.
+    bit-for-bit; average uses the size-weighted update).  A cluster is named
+    by its smallest row, and distance ties break on the first minimum in
+    row-major order, which is the pair of smallest such names.  Runs until one
+    cluster is left or no pair is at a finite distance.  Memory beyond the
+    input is the n x n linkage matrix.
+    """
+    n = len(vecs)
+    link = np.empty((n, n))
+    for a in range(n):
+        diff = vecs[a] - vecs
+        link[a] = np.sqrt(np.sum(diff * diff, axis=1))
+    np.fill_diagonal(link, np.inf)
+
+    # Invariant: each merge folds j into i < j, so the row of an active
+    # cluster is its smallest member and the first minimum in row-major order
+    # is the smallest pair, with i < j.
+    sizes = np.ones(n)
+    merges = []
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(link)), n)
+        d = float(link[i, j])
+        if d == np.inf:
+            break
+        merges.append((i, j, d))
+        if linkage == "complete":
+            row = np.maximum(link[i], link[j])
+        elif linkage == "single":
+            row = np.minimum(link[i], link[j])
+        else:
+            row = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
+        row[i] = np.inf
+        link[i, :] = row
+        link[:, i] = row
+        link[j, :] = np.inf
+        link[:, j] = np.inf
+        sizes[i] += sizes[j]
+    return merges
+
+
+def _cut(ids: list[str], merges, threshold: float) -> list[list[str]]:
+    """Apply merges up to the first whose distance exceeds threshold; returns
+    the clusters ordered by smallest member, members in ids order."""
+    root = list(range(len(ids)))
+    for i, j, d in merges:
+        if d > threshold:
+            break
+        root[j] = i
+    for k in range(len(ids)):  # root[k] < k is already final, as every i < j
+        root[k] = root[root[k]]
+    clusters: dict[int, list[str]] = {}
+    for k, r in enumerate(root):
+        clusters.setdefault(r, []).append(ids[k])
+    return list(clusters.values())
+
+
+def agglomerate(
+    points: list[tuple[str, np.ndarray]], config: ClusterConfig, merges: list | None = None
+) -> list[list[str]]:
+    """Cluster (id, vector) points; returns member-id lists.
+
+    Deterministic: points are processed in id order and distance ties break
+    on the pair with the lexicographically smallest min-member-id keys, so
+    permuting the input cannot change the partition.  Clusters come back
+    ordered by smallest member id, members ascending.
+
+    `merges`, when given, holds the merge_sequence of these points in id
+    order: a non-empty list is cut as it is and no sequence is computed; an
+    empty one receives the computed sequence, so that a caller can keep it.
     """
     config.validate()
     if not points:
@@ -49,38 +117,14 @@ def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> 
     if len({len(r) for r in rows}) > 1:
         raise ValueError("dimension mismatch among points")
     vecs = np.vstack(rows)
-    n = len(ids)
-
-    link = np.empty((n, n))
-    for a in range(n):
-        diff = vecs[a] - vecs
-        link[a] = np.sqrt(np.sum(diff * diff, axis=1))
-    np.fill_diagonal(link, np.inf)
-
-    # Invariant: ids are sorted and each merge folds j into i < j, so the row
-    # of an active cluster is its smallest member.  The first minimum in
-    # row-major order is therefore the smallest min-member-id pair, with i < j.
-    label = np.arange(n)
-    sizes = np.ones(n)
-    for _ in range(n - 1):
-        i, j = divmod(int(np.argmin(link)), n)
-        if link[i, j] > config.threshold:
-            break
-        if config.linkage == "complete":
-            row = np.maximum(link[i], link[j])
-        elif config.linkage == "single":
-            row = np.minimum(link[i], link[j])
-        else:
-            row = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
-        row[i] = np.inf
-        link[i, :] = row
-        link[:, i] = row
-        link[j, :] = np.inf
-        link[:, j] = np.inf
-        label[label == j] = i
-        sizes[i] += sizes[j]
-
-    return [[ids[k] for k in np.flatnonzero(label == r)] for r in np.unique(label)]
+    finite = np.isfinite(vecs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {ids[int(np.argmin(finite))]!r} has a non-finite coordinate")
+    if merges is None:
+        merges = []
+    if not merges and len(ids) > 1:
+        merges.extend(merge_sequence(vecs, config.linkage))
+    return _cut(ids, merges, config.threshold)
 
 
 def build_summary(
@@ -89,12 +133,15 @@ def build_summary(
     sentiment_labels: dict,
     embeddings: dict,
     config: ClusterConfig,
+    sequences: dict | None = None,
 ) -> dict[tuple[str, str], list[list[str]]]:
     """Group phrases by (aspect, sentiment) and cluster each group.
 
     Returns {(aspect, sentiment): [member-id lists]}, keys sorted.  Phrases
     labeled None in either schema are excluded.  Clusters are ordered by
     size descending (ties by smallest member id), members by phrase id.
+    `sequences` maps a group to its merge list (see agglomerate); a group
+    missing from it is computed and added.
     """
     groups: dict[tuple[str, str], list] = {}
     for phrase in phrases:
@@ -106,6 +153,7 @@ def build_summary(
 
     summary = {}
     for key in sorted(groups):
-        parts = agglomerate([(p.id, embeddings[p.id]) for p in groups[key]], config)
+        merges = None if sequences is None else sequences.setdefault(key, [])
+        parts = agglomerate([(p.id, embeddings[p.id]) for p in groups[key]], config, merges)
         summary[key] = sorted(parts, key=lambda members: (-len(members), members[0]))
     return summary

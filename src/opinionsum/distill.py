@@ -28,7 +28,7 @@ class DistillConfig:
     def validate(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # also rejects NaN
             raise ValueError("alpha must be positive")
         for name in ("theta1", "theta2"):
             v = getattr(self, name)

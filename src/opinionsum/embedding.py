@@ -58,7 +58,7 @@ class EmbedConfig:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ValueError("learning_rate must be positive")
         if not 0 < self.m_intra < 1:
             raise ValueError("m_intra must be in (0, 1)")

@@ -8,9 +8,11 @@ too.  The three training stages train their aspect and sentiment models in two
 forked worker processes, one per schema.
 """
 
+import collections
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import typing
@@ -124,13 +126,15 @@ def _check_keys(cls, data: dict, prefix: str) -> None:
 
 
 def _check_types(cls, data: dict, prefix: str) -> None:
-    """Reject a value that does not fit its dataclass field (an int fits a float)."""
+    """Reject a value that does not fit its dataclass field (an int fits a
+    float; NaN, which JSON and float() both accept, fits nothing)."""
     for f in fields(cls):
         allowed = typing.get_args(f.type) or (f.type,)
         allowed += (int,) if float in allowed else ()
-        if f.name in data and (isinstance(data[f.name], bool) or not isinstance(data[f.name], allowed)):
+        value = data.get(f.name)
+        if f.name in data and (isinstance(value, bool) or not isinstance(value, allowed) or value != value):
             want = " or ".join(t.__name__ for t in allowed)
-            raise ValidationError(f"{prefix}{f.name} must be {want}, got {data[f.name]!r}")
+            raise ValidationError(f"{prefix}{f.name} must be {want}, got {value!r}")
 
 
 def seed_for(base: int, *tags: str) -> int:
@@ -305,6 +309,53 @@ def _run_classify(cfg: PipelineConfig):
     _write_lines(w / "classified.jsonl", [json.dumps(row, sort_keys=True) for row in rows])
 
 
+def _merges_key(w: Path, linkage: str) -> str:
+    """What the stored merge sequences depend on: the cluster stage's input
+    files, the linkage and the code version, but not the threshold."""
+    h = hashlib.sha256()
+    for name in ("phrases.jsonl", "classified.jsonl", "phrase_vectors.npy"):
+        h.update(_file_digest(w / name).encode())
+    h.update(json.dumps([linkage, __version__]).encode())
+    return h.hexdigest()
+
+
+def _full_sequence(merges, n: int) -> bool:
+    """Whether merges can be the merge_sequence of n points at finite distances."""
+    return len(merges) == n - 1 and all(
+        len(m) == 3
+        and type(m[0]) is int
+        and type(m[1]) is int
+        and 0 <= m[0] < m[1] < n
+        and type(m[2]) is float
+        and 0 <= m[2] < math.inf
+        for m in merges
+    )
+
+
+def _load_merges(path: Path, key: str, sizes: dict) -> dict[str, dict]:
+    """{target: {(aspect, sentiment): merges}} stored in path under key.  A
+    file under another key, or one that does not parse, gives nothing; a
+    record that is malformed or not the full sequence of a current group is
+    left out, so that its group is computed again."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if not lines or json.loads(lines[0]) != {"key": key}:
+            return {}
+    except (OSError, ValueError):  # missing, undecodable or not JSON
+        return {}
+    stored: dict[str, dict] = {}
+    for line in lines[1:]:
+        try:
+            record = json.loads(line)
+            target, group = record["target_id"], (record["aspect"], record["sentiment"])
+            merges = [tuple(m) for m in record["merges"]]
+            if _full_sequence(merges, sizes.get((target, *group), 0)):
+                stored.setdefault(target, {})[group] = merges
+        except (ValueError, KeyError, TypeError):
+            continue
+    return stored
+
+
 def _run_cluster(cfg: PipelineConfig):
     w = _workdir(cfg)
     phrases = _read_jsonl(w / "phrases.jsonl", phrase_from_json)
@@ -321,6 +372,17 @@ def _run_cluster(cfg: PipelineConfig):
     for phrase in phrases:
         by_target.setdefault(labels[phrase.id]["target_id"], []).append(phrase)
 
+    # each group's merge sequence is kept in merges.jsonl, so that a run with
+    # only another threshold just cuts the stored sequences
+    key = _merges_key(w, cfg.cluster.linkage)
+    sizes = collections.Counter(
+        (r["target_id"], r["aspect"], r["sentiment"])
+        for r in (labels[p.id] for p in phrases)
+        if r["aspect"] is not None and r["sentiment"] is not None
+    )
+    sequences = _load_merges(w / "merges.jsonl", key, sizes)
+    reused = sum(len(groups) for groups in sequences.values())
+
     out_lines = []
     for target in sorted(by_target):
         members = by_target[target]
@@ -330,6 +392,7 @@ def _run_cluster(cfg: PipelineConfig):
             {p.id: labels[p.id]["sentiment"] for p in members},
             embeddings,
             cfg.cluster,
+            sequences.setdefault(target, {}),
         )
         for (aspect, sentiment), clusters in summary.items():
             for k, cluster in enumerate(clusters):
@@ -341,6 +404,13 @@ def _run_cluster(cfg: PipelineConfig):
                     "members": cluster,
                 }
                 out_lines.append(json.dumps(row, sort_keys=True))
+    log.info("cluster: %d groups, %d sequences reused, %d computed", len(sizes), reused, len(sizes) - reused)
+    if reused < len(sizes):
+        records = [
+            json.dumps({"target_id": target, "aspect": a, "sentiment": s, "merges": sequences[target][a, s]})
+            for target, a, s in sorted(sizes)
+        ]
+        _write_lines(w / "merges.jsonl", [json.dumps({"key": key})] + records)
     _write_lines(w / "clusters.jsonl", out_lines)
 
 
@@ -422,7 +492,7 @@ STAGES = (
     ),
     _Stage(
         "cluster",
-        ("clusters.jsonl",),
+        ("merges.jsonl", "clusters.jsonl"),
         lambda c: asdict(c.cluster),
         _run_cluster,
     ),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionsum.clustering import ClusterConfig, agglomerate, build_summary
+from opinionsum.clustering import ClusterConfig, agglomerate, build_summary, merge_sequence
 from opinionsum.extraction import Phrase
 from util import naive_agglomerate
 
@@ -69,6 +69,47 @@ class TestAgglomerate:
                 got = agglomerate(points, ClusterConfig(threshold=t, linkage=linkage))
                 assert got == naive_agglomerate(points, t, linkage), (make.__name__, linkage, t)
 
+    def test_one_sequence_cut_at_every_threshold_matches_naive_reference(self):
+        rng = np.random.default_rng(43)
+        thresholds = (0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 12.0, 20.0)
+        cases = [(_points, linkage) for linkage in ("complete", "average", "single")]
+        cases += [(make, link) for make in (_lattice_points, _duplicate_points) for link in ("complete", "single")]
+        for make, linkage in cases:
+            for _ in range(15):
+                points = make(rng, int(rng.integers(2, 25)))
+                merges = merge_sequence(np.vstack([v for _, v in points]), linkage)  # points are in id order
+                shuffled = [points[i] for i in rng.permutation(len(points))]
+                for t in thresholds:
+                    got = agglomerate(shuffled, ClusterConfig(threshold=t, linkage=linkage), list(merges))
+                    assert got == naive_agglomerate(shuffled, t, linkage), (make.__name__, linkage, t)
+
+    def test_merge_sequence_is_complete_and_ordered(self):
+        points = _points(np.random.default_rng(44), 12)
+        merges = merge_sequence(np.vstack([v for _, v in points]), "complete")
+        assert len(merges) == 11
+        assert all(0 <= i < j < 12 and isinstance(d, float) for i, j, d in merges)
+        assert [d for _, _, d in merges] == sorted(d for _, _, d in merges)  # complete linkage is monotone
+        assert len({j for _, j, _ in merges}) == 11  # each cluster is folded away once
+
+    def test_empty_merge_list_receives_the_sequence(self, monkeypatch):
+        points = _points(np.random.default_rng(45), 10)
+        merges = []
+        first = agglomerate(points, ClusterConfig(threshold=8.0), merges)
+        assert merges == merge_sequence(np.vstack([v for _, v in points]), "complete")
+        calls = []
+        monkeypatch.setattr("opinionsum.clustering.merge_sequence", lambda *a: calls.append(a))
+        assert agglomerate(points, ClusterConfig(threshold=8.0), merges) == first
+        assert agglomerate(points, ClusterConfig(threshold=3.0), merges) == naive_agglomerate(points, 3.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected_by_id(self, bad):
+        points = [("a", np.array([0.0])), ("b", np.array([bad])), ("c", np.array([1.0]))]
+        with pytest.raises(ValueError, match="'b'"):
+            agglomerate(points, ClusterConfig(threshold=0.5))
+        with pytest.raises(ValueError, match="'b'"):
+            agglomerate(points, ClusterConfig(threshold=0.5), [(0, 2, 1.0), (0, 1, 2.0)])
+
     def test_memory_bounded_by_link_matrix(self):
         n, dim = 400, 64
         points = _points(np.random.default_rng(12), n, dim=dim)
@@ -126,6 +167,8 @@ class TestAgglomerate:
             ClusterConfig(threshold=0.0).validate()
         with pytest.raises(ValueError):
             ClusterConfig(linkage="ward").validate()
+        with pytest.raises(ValueError, match="threshold"):
+            ClusterConfig(threshold=float("nan")).validate()
 
 
 def _phrase(pid, sid="s0"):

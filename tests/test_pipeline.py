@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import logging
 import os
+import re
 import shutil
 import signal
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opinionsum import pipeline
+from opinionsum import clustering, pipeline
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
 from opinionsum.distill import DistillConfig
@@ -151,6 +153,132 @@ class TestPhraseVectors:
         path = Path(copy.workdir) / "phrase_vectors.npy"
         np.save(path, np.load(path)[:-1])
         with pytest.raises(StageError, match="phrase_vectors.npy") as err:
+            run_stage(copy, "cluster")
+        assert isinstance(err.value.__cause__, ValueError)
+
+
+def _count_sequences(monkeypatch) -> list:
+    """Count the merge_sequence calls from here on."""
+    calls = []
+    real = clustering.merge_sequence
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(clustering, "merge_sequence", counting)
+    return calls
+
+
+def _damage_truncate(w):
+    path = w / "merges.jsonl"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _damage_not_json(w):
+    (w / "merges.jsonl").write_text("merges\n")
+
+
+def _damage_first_merge(index, value):
+    def damage(w):
+        path = w / "merges.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        merge = record["merges"][0]
+        merge[index] = value(record["merges"]) if callable(value) else value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+
+    return damage
+
+
+_damage_j_out_of_range = _damage_first_merge(1, lambda merges: len(merges) + 1)  # j = n
+_damage_nan_distance = _damage_first_merge(2, float("nan"))
+
+
+class TestMergeSequences:
+    """The cluster stage keeps each group's merge sequence in merges.jsonl and
+    cuts it again when only the threshold changed."""
+
+    @staticmethod
+    def _groups(w: Path) -> int:
+        return len({(r["target_id"], r["aspect"], r["sentiment"]) for r in _read_jsonl(w / "clusters.jsonl")})
+
+    @staticmethod
+    def _computed(cfg, monkeypatch) -> int:
+        """Run the cluster stage and return how many sequences it computed,
+        after checking its clusters and stored sequences against a run that
+        starts with none stored."""
+        calls = _count_sequences(monkeypatch)
+        run_stage(cfg, "cluster")
+        w = Path(cfg.workdir)
+        clusters, merges = (w / "clusters.jsonl").read_bytes(), (w / "merges.jsonl").read_bytes()
+        computed = len(calls)
+        (w / "merges.jsonl").unlink()
+        run_stage(cfg, "cluster")
+        assert (w / "clusters.jsonl").read_bytes() == clusters
+        assert (w / "merges.jsonl").read_bytes() == merges
+        return computed
+
+    def test_threshold_change_computes_no_sequence(self, ran, tmp_path, monkeypatch, caplog):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        groups = self._groups(Path(copy.workdir))
+        calls = _count_sequences(monkeypatch)
+        retuned = dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.1))
+        with caplog.at_level(logging.INFO, logger="opinionsum"):
+            report = run_pipeline(retuned)
+        assert report["cluster"] == "ran" and calls == []
+        assert f"cluster: {groups} groups, {groups} sequences reused, 0 computed" in caplog.messages
+
+        fresh = dataclasses.replace(retuned, workdir=str(tmp_path / "fresh"))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="opinionsum"):
+            run_pipeline(fresh)
+        assert f"cluster: {groups} groups, 0 sequences reused, {groups} computed" in caplog.messages
+        for name in ("clusters.jsonl", "summary.json", "merges.jsonl"):
+            assert (tmp_path / "work" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        at_default = (Path(cfg.workdir) / "clusters.jsonl").read_bytes()
+        assert (tmp_path / "work" / "clusters.jsonl").read_bytes() != at_default
+
+    def test_linkage_change_recomputes(self, ran, tmp_path, monkeypatch):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        single = dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.1, linkage="single"))
+        assert self._computed(single, monkeypatch) == self._groups(Path(copy.workdir))
+
+    def test_changed_phrase_vectors_recompute(self, ran, tmp_path, monkeypatch):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        path = Path(copy.workdir) / "phrase_vectors.npy"
+        before = path.read_bytes()
+        encode = pipeline.encode_phrases
+        monkeypatch.setattr(pipeline, "encode_phrases", lambda *a: [(y, 2 * v) for y, v in encode(*a)])
+        run_stage(copy, "classify")
+        assert path.read_bytes() != before
+        assert self._computed(copy, monkeypatch) == self._groups(Path(copy.workdir))
+
+    @pytest.mark.parametrize(
+        "damage, computed",
+        [(_damage_truncate, None), (_damage_not_json, None), (_damage_j_out_of_range, 1), (_damage_nan_distance, 1)],
+    )
+    def test_damaged_file_recomputes(self, ran, tmp_path, monkeypatch, damage, computed):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        damage(Path(copy.workdir))
+        groups = self._groups(Path(copy.workdir))
+        assert self._computed(copy, monkeypatch) == (computed or groups)
+
+    def test_non_finite_vector_fails_naming_the_phrase(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        rows = _read_jsonl(w / "classified.jsonl")
+        k = next(i for i, r in enumerate(rows) if r["aspect"] and r["sentiment"])
+        vectors = np.load(w / "phrase_vectors.npy")
+        vectors[k, 1] = np.nan
+        np.save(w / "phrase_vectors.npy", vectors)
+        with pytest.raises(StageError, match=re.escape(repr(rows[k]["phrase_id"])) + ".*non-finite") as err:
             run_stage(copy, "cluster")
         assert isinstance(err.value.__cause__, ValueError)
 
