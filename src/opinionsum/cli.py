@@ -71,6 +71,16 @@ def _add_config_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, dest=_dest(flag), **kwargs)
 
 
+def _env_seed() -> int | None:
+    value = os.environ.get(_SEED_ENV)
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"{_SEED_ENV} must be an integer, got {value!r}") from None
+
+
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -84,8 +94,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
             PipelineConfig.from_dict(data)  # so that a bad key or value names the file
         except ValueError as exc:
             raise ValidationError(f"config file {path}: {exc}") from None
-    if os.environ.get(_SEED_ENV):
-        data["seed"] = int(os.environ[_SEED_ENV])
+    seed = _env_seed()
+    if seed is not None:
+        data["seed"] = seed
     for flag, keys, _ in _CONFIG_FLAGS:
         value = getattr(args, _dest(flag), None)
         if value is None:
@@ -141,7 +152,7 @@ def _cmd_synth(args) -> int:
         noise_word_ratio=args.noise_ratio,
         n_targets=args.targets,
     )
-    seed = args.seed if args.seed is not None else int(os.environ.get(_SEED_ENV, "0"))
+    seed = args.seed if args.seed is not None else _env_seed() or 0
     paths = generate_synthetic(spec, seed, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -188,13 +199,27 @@ def _cmd_eval_classify(args) -> int:
     return 0
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not JSON ({exc})") from None
+
+
 def _summary_clusters(path) -> list[list[str]]:
-    summary = json.loads(Path(path).read_text())
-    clusters = []
-    for target in sorted(summary):
-        for group in sorted(summary[target]):
-            for entry in summary[target][group]:
-                clusters.append(entry["phrases"])
+    summary = _read_json(path)
+    try:
+        clusters = [
+            entry["phrases"]
+            for target in sorted(summary)
+            for group in sorted(summary[target])
+            for entry in summary[target][group]
+        ]
+        valid = all(type(c) is list and all(type(p) is str for p in c) for c in clusters)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise ValidationError(f'{path}: expected {{target: {{"aspect|sentiment": [{{cluster_id, phrases: [...]}}]}}}}')
     return clusters
 
 
@@ -232,18 +257,31 @@ def _cmd_eval_intrusion_make(args) -> int:
 
 
 def _cmd_eval_intrusion_score(args) -> int:
-    keys = json.loads(Path(args.key).read_text())
-    answers = json.loads(Path(args.answers).read_text())
-    if isinstance(answers, list):
-        answers = {row["set_id"]: row["answer"] for row in answers}
+    keys, answers = _read_json(args.key), _read_json(args.answers)
+    fields = {"set_id", "answer_key", "shared_word", "intruder"}
+    if not isinstance(keys, list) or not all(
+        isinstance(row, dict) and fields <= row.keys() and type(row["set_id"]) is str for row in keys
+    ):
+        raise ValidationError(f"{args.key}: expected a list of {{set_id, answer_key, shared_word, intruder}}")
+    try:
+        if isinstance(answers, list):
+            answers = {row["set_id"]: row["answer"] for row in answers}
+        answers = dict(answers)
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(
+            f"{args.answers}: expected a list of {{set_id, answer}} or an object {{set_id: answer}}"
+        ) from None
     sets, given = [], []
     for row in keys:
         if row["set_id"] not in answers:
-            raise ValidationError(f"no answer for {row['set_id']!r}")
+            raise ValidationError(f"{args.answers}: no answer for {row['set_id']!r}")
         sets.append(
             IntrusionSet(row["set_id"], [""] * 5, row["intruder"], row["shared_word"], row["answer_key"])
         )
-        given.append(int(answers[row["set_id"]]))
+        try:
+            given.append(int(answers[row["set_id"]]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{args.answers}: answer for {row['set_id']!r} is not an integer") from None
     print(json.dumps({"n": len(sets), "coherence": coherence_score(sets, given)}))
     return 0
 

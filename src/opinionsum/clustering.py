@@ -8,8 +8,7 @@ stays within the threshold.
 
 The merge order does not depend on the threshold, so the work splits in two:
 `merge_sequence` records every merge of a group once, and a cut applies the
-prefix whose distances are within the threshold.  A threshold change then
-re-runs only the cut.
+prefix whose distances are within the threshold (`build_summary`).
 """
 
 from dataclasses import dataclass
@@ -92,23 +91,9 @@ def _cut(ids: list[str], merges, threshold: float) -> list[list[str]]:
     return list(clusters.values())
 
 
-def agglomerate(
-    points: list[tuple[str, np.ndarray]], config: ClusterConfig, merges: list | None = None
-) -> list[list[str]]:
-    """Cluster (id, vector) points; returns member-id lists.
-
-    Deterministic: points are processed in id order and distance ties break
-    on the pair with the lexicographically smallest min-member-id keys, so
-    permuting the input cannot change the partition.  Clusters come back
-    ordered by smallest member id, members ascending.
-
-    `merges`, when given, holds the merge_sequence of these points in id
-    order: a non-empty list is cut as it is and no sequence is computed; an
-    empty one receives the computed sequence, so that a caller can keep it.
-    """
-    config.validate()
-    if not points:
-        return []
+def sorted_points(points: list[tuple[str, np.ndarray]]) -> tuple[list[str], np.ndarray]:
+    """Sort (id, vector) points by id and check them: unique ids, one
+    dimension, finite coordinates.  Returns (ids, one row per point)."""
     points = sorted(points, key=lambda p: p[0])
     ids = [pid for pid, _ in points]
     if len(set(ids)) != len(ids):
@@ -120,40 +105,33 @@ def agglomerate(
     finite = np.isfinite(vecs).all(axis=1)
     if not finite.all():
         raise ValueError(f"point {ids[int(np.argmin(finite))]!r} has a non-finite coordinate")
-    if merges is None:
-        merges = []
-    if not merges and len(ids) > 1:
-        merges.extend(merge_sequence(vecs, config.linkage))
-    return _cut(ids, merges, config.threshold)
+    return ids, vecs
 
 
-def build_summary(
-    phrases,
-    aspect_labels: dict,
-    sentiment_labels: dict,
-    embeddings: dict,
-    config: ClusterConfig,
-    sequences: dict | None = None,
-) -> dict[tuple[str, str], list[list[str]]]:
-    """Group phrases by (aspect, sentiment) and cluster each group.
+def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> list[list[str]]:
+    """Cluster (id, vector) points; returns member-id lists.
 
-    Returns {(aspect, sentiment): [member-id lists]}, keys sorted.  Phrases
-    labeled None in either schema are excluded.  Clusters are ordered by
-    size descending (ties by smallest member id), members by phrase id.
-    `sequences` maps a group to its merge list (see agglomerate); a group
-    missing from it is computed and added.
+    Deterministic: points are processed in id order and distance ties break
+    on the pair with the lexicographically smallest min-member-id keys, so
+    permuting the input cannot change the partition.  Clusters come back
+    ordered by smallest member id, members ascending.
     """
-    groups: dict[tuple[str, str], list] = {}
-    for phrase in phrases:
-        aspect = aspect_labels.get(phrase.id)
-        sentiment = sentiment_labels.get(phrase.id)
-        if aspect is None or sentiment is None:
-            continue
-        groups.setdefault((aspect, sentiment), []).append(phrase)
+    config.validate()
+    if not points:
+        return []
+    ids, vecs = sorted_points(points)
+    return _cut(ids, merge_sequence(vecs, config.linkage), config.threshold)
 
-    summary = {}
-    for key in sorted(groups):
-        merges = None if sequences is None else sequences.setdefault(key, [])
-        parts = agglomerate([(p.id, embeddings[p.id]) for p in groups[key]], config, merges)
-        summary[key] = sorted(parts, key=lambda members: (-len(members), members[0]))
-    return summary
+
+def build_summary(groups: dict, threshold: float) -> dict[tuple[str, str], list[list[str]]]:
+    """Cut one target's stored groups at threshold.
+
+    groups maps (aspect, sentiment) to (members, merges): the group's phrase
+    ids in id order and their merge_sequence.  Returns
+    {(aspect, sentiment): [member-id lists]}, keys sorted, clusters ordered by
+    size descending (ties by smallest member id), members by phrase id.
+    """
+    return {
+        key: sorted(_cut(*groups[key], threshold), key=lambda members: (-len(members), members[0]))
+        for key in sorted(groups)
+    }

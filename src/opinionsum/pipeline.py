@@ -8,7 +8,6 @@ too.  The three training stages train their aspect and sentiment models in two
 forked worker processes, one per schema.
 """
 
-import collections
 import hashlib
 import json
 import logging
@@ -34,7 +33,7 @@ from .classifier import (
     save_checkpoint,
     train_on_sentences,
 )
-from .clustering import ClusterConfig, build_summary
+from .clustering import ClusterConfig, build_summary, merge_sequence, sorted_points
 from .corpus import CorpusError, Vocabulary, build_vocab, load_corpus, load_manifest, load_schema, save_manifest
 from .distill import (
     DistillConfig,
@@ -309,121 +308,87 @@ def _run_classify(cfg: PipelineConfig):
     _write_lines(w / "classified.jsonl", [json.dumps(row, sort_keys=True) for row in rows])
 
 
-def _merges_key(w: Path, linkage: str) -> str:
-    """What the stored merge sequences depend on: the cluster stage's input
-    files, the linkage and the code version, but not the threshold."""
-    h = hashlib.sha256()
-    for name in ("phrases.jsonl", "classified.jsonl", "phrase_vectors.npy"):
-        h.update(_file_digest(w / name).encode())
-    h.update(json.dumps([linkage, __version__]).encode())
-    return h.hexdigest()
-
-
-def _full_sequence(merges, n: int) -> bool:
-    """Whether merges can be the merge_sequence of n points at finite distances."""
-    return len(merges) == n - 1 and all(
-        len(m) == 3
-        and type(m[0]) is int
-        and type(m[1]) is int
-        and 0 <= m[0] < m[1] < n
-        and type(m[2]) is float
-        and 0 <= m[2] < math.inf
-        for m in merges
-    )
-
-
-def _load_merges(path: Path, key: str, sizes: dict) -> dict[str, dict]:
-    """{target: {(aspect, sentiment): merges}} stored in path under key.  A
-    file under another key, or one that does not parse, gives nothing; a
-    record that is malformed or not the full sequence of a current group is
-    left out, so that its group is computed again."""
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or json.loads(lines[0]) != {"key": key}:
-            return {}
-    except (OSError, ValueError):  # missing, undecodable or not JSON
-        return {}
-    stored: dict[str, dict] = {}
-    for line in lines[1:]:
-        try:
-            record = json.loads(line)
-            target, group = record["target_id"], (record["aspect"], record["sentiment"])
-            merges = [tuple(m) for m in record["merges"]]
-            if _full_sequence(merges, sizes.get((target, *group), 0)):
-                stored.setdefault(target, {})[group] = merges
-        except (ValueError, KeyError, TypeError):
-            continue
-    return stored
-
-
 def _run_cluster(cfg: PipelineConfig):
     w = _workdir(cfg)
-    phrases = _read_jsonl(w / "phrases.jsonl", phrase_from_json)
     rows = _read_jsonl(w / "classified.jsonl", json.loads)
-    labels = {r["phrase_id"]: r for r in rows}
     vectors = np.load(w / "phrase_vectors.npy")
-    if len(vectors) != len(phrases):
-        raise ValueError(
-            f"{w / 'phrase_vectors.npy'}: {len(vectors)} rows for {len(phrases)} phrases in phrases.jsonl"
-        )
-    embeddings = {phrase.id: vec for phrase, vec in zip(phrases, vectors)}
+    if len(vectors) != len(rows):
+        raise ValueError(f"{w / 'phrase_vectors.npy'}: {len(vectors)} rows for {len(rows)} phrases in classified.jsonl")
+    groups: dict[tuple[str, str, str], list] = {}  # rejected phrases are left out
+    for row, vec in zip(rows, vectors):
+        if row["aspect"] is not None and row["sentiment"] is not None:
+            groups.setdefault((row["target_id"], row["aspect"], row["sentiment"]), []).append((row["phrase_id"], vec))
+    lines = []
+    for target, aspect, sentiment in sorted(groups):
+        members, vecs = sorted_points(groups[target, aspect, sentiment])
+        merges = merge_sequence(vecs, cfg.cluster.linkage)
+        row = {"target_id": target, "aspect": aspect, "sentiment": sentiment, "members": members, "merges": merges}
+        lines.append(json.dumps(row))
+    log.info("cluster: %d groups", len(groups))
+    _write_lines(w / "merges.jsonl", lines)
 
-    by_target: dict[str, list] = {}  # build_summary leaves out rejected phrases
-    for phrase in phrases:
-        by_target.setdefault(labels[phrase.id]["target_id"], []).append(phrase)
 
-    # each group's merge sequence is kept in merges.jsonl, so that a run with
-    # only another threshold just cuts the stored sequences
-    key = _merges_key(w, cfg.cluster.linkage)
-    sizes = collections.Counter(
-        (r["target_id"], r["aspect"], r["sentiment"])
-        for r in (labels[p.id] for p in phrases)
-        if r["aspect"] is not None and r["sentiment"] is not None
-    )
-    sequences = _load_merges(w / "merges.jsonl", key, sizes)
-    reused = sum(len(groups) for groups in sequences.values())
+def _read_merges(path: Path, surfaces: dict) -> dict[str, dict]:
+    """{target: {(aspect, sentiment): (members, merges)}} from merges.jsonl.
 
-    out_lines = []
-    for target in sorted(by_target):
-        members = by_target[target]
-        summary = build_summary(
-            members,
-            {p.id: labels[p.id]["aspect"] for p in members},
-            {p.id: labels[p.id]["sentiment"] for p in members},
-            embeddings,
-            cfg.cluster,
-            sequences.setdefault(target, {}),
-        )
-        for (aspect, sentiment), clusters in summary.items():
-            for k, cluster in enumerate(clusters):
-                row = {
-                    "target_id": target,
-                    "aspect": aspect,
-                    "sentiment": sentiment,
-                    "cluster_id": f"{target}/{aspect}|{sentiment}/{k:03d}",
-                    "members": cluster,
-                }
-                out_lines.append(json.dumps(row, sort_keys=True))
-    log.info("cluster: %d groups, %d sequences reused, %d computed", len(sizes), reused, len(sizes) - reused)
-    if reused < len(sizes):
-        records = [
-            json.dumps({"target_id": target, "aspect": a, "sentiment": s, "merges": sequences[target][a, s]})
-            for target, a, s in sorted(sizes)
-        ]
-        _write_lines(w / "merges.jsonl", [json.dumps({"key": key})] + records)
-    _write_lines(w / "clusters.jsonl", out_lines)
+    Each row must hold known phrase ids, ascending, and their full
+    merge_sequence: n - 1 merges [i, j, distance] with ints 0 <= i < j < n
+    and finite distances >= 0.  Any other line raises a CorpusError naming
+    path:line."""
+    groups: dict[str, dict] = {}
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                target, key = row["target_id"], (row["aspect"], row["sentiment"])
+                members, merges = row["members"], row["merges"]
+                valid = (
+                    all(type(s) is str for s in (target, *key, *members))
+                    and members == sorted(set(members))
+                    and surfaces.keys() >= set(members)
+                    and len(merges) == len(members) - 1
+                    and all(
+                        len(m) == 3
+                        and type(m[0]) is type(m[1]) is int
+                        and 0 <= m[0] < m[1] < len(members)
+                        and type(m[2]) is float
+                        and 0 <= m[2] < math.inf
+                        for m in merges
+                    )
+                )
+            except (ValueError, KeyError, TypeError):  # not JSON, or not an object of lists
+                valid = False
+            if not valid:
+                raise CorpusError(
+                    f"{path}:{n}: expected {{target_id, aspect, sentiment, members, merges}} with known phrase "
+                    "ids ascending and n - 1 merges [i, j, distance], 0 <= i < j < n, finite distance >= 0"
+                )
+            groups.setdefault(target, {})[key] = (members, merges)
+    return groups
 
 
 def _run_summarize(cfg: PipelineConfig):
     w = _workdir(cfg)
-    rows = _read_jsonl(w / "clusters.jsonl", json.loads)
-    classified = _read_jsonl(w / "classified.jsonl", json.loads)
-    surfaces = {r["phrase_id"]: r["surface"] for r in classified}
-    # target -> {"aspect|sentiment": [clusters in clusters.jsonl order]}
-    out: dict[str, dict[str, list]] = {}
-    for row in rows:
-        group = out.setdefault(row["target_id"], {}).setdefault(f"{row['aspect']}|{row['sentiment']}", [])
-        group.append({"cluster_id": row["cluster_id"], "phrases": [surfaces[p] for p in row["members"]]})
+    surfaces = {r["phrase_id"]: r["surface"] for r in _read_jsonl(w / "classified.jsonl", json.loads)}
+    cluster_lines = []
+    out: dict[str, dict[str, list]] = {}  # target -> {"aspect|sentiment": [clusters]}
+    for target, groups in sorted(_read_merges(w / "merges.jsonl", surfaces).items()):
+        for (aspect, sentiment), clusters in build_summary(groups, cfg.cluster.threshold).items():
+            entries = out.setdefault(target, {}).setdefault(f"{aspect}|{sentiment}", [])
+            for k, members in enumerate(clusters):
+                cluster_id = f"{target}/{aspect}|{sentiment}/{k:03d}"
+                row = {
+                    "target_id": target,
+                    "aspect": aspect,
+                    "sentiment": sentiment,
+                    "cluster_id": cluster_id,
+                    "members": members,
+                }
+                cluster_lines.append(json.dumps(row, sort_keys=True))
+                entries.append({"cluster_id": cluster_id, "phrases": [surfaces[p] for p in members]})
+    _write_lines(w / "clusters.jsonl", cluster_lines)
     _write_lines(w / "summary.json", [json.dumps(out, sort_keys=True, indent=2)])
 
 
@@ -492,14 +457,14 @@ STAGES = (
     ),
     _Stage(
         "cluster",
-        ("merges.jsonl", "clusters.jsonl"),
-        lambda c: asdict(c.cluster),
+        ("merges.jsonl",),
+        lambda c: {"linkage": c.cluster.linkage},
         _run_cluster,
     ),
     _Stage(
         "summarize",
-        ("summary.json",),
-        lambda c: {},
+        ("clusters.jsonl", "summary.json"),
+        lambda c: {"threshold": c.cluster.threshold},
         _run_summarize,
     ),
 )

@@ -76,18 +76,18 @@ class TestRun:
         config = _config_file(tmp_path, paths)
         # single stage without its upstream artifacts is a caller error
         assert main(["pseudo-label", "--config", str(config)]) == 1
-        # force a mid-pipeline failure: run fully, corrupt, re-run cluster
         assert main(["run", "--config", str(config)]) == 0
-        (tmp_path / "work" / "classified.jsonl").write_text("not json\n")
-        (tmp_path / "work" / "clusters.jsonl").unlink()
-        assert main(["run", "--config", str(config)]) == 2
-        assert "cluster" in capsys.readouterr().err
         # a stage subcommand checks only the previous stage's artifacts; an
         # older missing input fails inside the stage
-        (tmp_path / "work" / "phrases.jsonl").unlink()
-        assert main(["cluster", "--config", str(config)]) == 2
+        (tmp_path / "work" / "classified.jsonl").unlink()
+        assert main(["summarize", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "error: stage 'cluster' failed" in err and "phrases.jsonl" in err
+        assert "error: stage 'summarize' failed" in err and "classified.jsonl" in err
+        # force a mid-pipeline failure: corrupt, re-run cluster
+        (tmp_path / "work" / "classified.jsonl").write_text("not json\n")
+        (tmp_path / "work" / "merges.jsonl").unlink()
+        assert main(["run", "--config", str(config)]) == 2
+        assert "cluster" in capsys.readouterr().err
 
     def test_stage_subcommand_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def diverge(self):
@@ -259,6 +259,14 @@ class TestConfigPrecedence:
         assert cfg.seed == 66  # flag beats env
 
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_bad_env_seed_exits_1_naming_the_variable(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("OPINIONSUM_SEED", "abc")
+        assert main([command, "--out" if command == "synth" else "--workdir", str(tmp_path / "out")]) == 1
+        assert "OPINIONSUM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "a"), "--sentences", "30", "--seed", "9"])
@@ -323,3 +331,37 @@ class TestEval:
         assert main(["eval", "intrusion", "score", "--answers", str(answers), "--key", str(out_dir / "intrusion_key.json")]) == 0
         scored = json.loads(capsys.readouterr().out)
         assert scored["coherence"] == 1.0
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("diversity", {"summary": '{"t0": {"food|good": [{"cluster_id": "c"}]}}'}),  # no phrases
+            ("diversity", {"summary": "not json"}),
+            ("make", {"summary": '{"t0": {"food|good": [{"cluster_id": "c"}]}}'}),
+            ("make", {"summary": '{"t0": {"food|good": {"cluster_id": "c"}}}'}),  # an entry, not a list
+            ("score", {"answers": '[{"answer": 1}]'}),  # no set_id
+            ("score", {"answers": "not json"}),
+            ("score", {"answers": '[{"set_id": "s0", "answer": "x"}]'}),
+            ("score", {"key": '[{"set_id": "s0"}]'}),
+            ("score", {"key": ""}),
+        ],
+    )
+    def test_bad_eval_input_exits_1_naming_the_file(self, tmp_path, capsys, command, bad):
+        files = {
+            "summary": json.dumps({"t0": {"food|good": [{"cluster_id": "c", "phrases": ["tasty bread"]}]}}),
+            "answers": json.dumps([{"set_id": "s0", "answer": 1}]),
+            "key": json.dumps([{"set_id": "s0", "answer_key": 1, "shared_word": "bread", "intruder": "x"}]),
+        }
+        files.update(bad)
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        argv = {
+            "diversity": ["eval", "diversity", "--summary", str(paths["summary"])],
+            "make": ["eval", "intrusion", "make", "--summary", str(paths["summary"]), "--out-dir", str(tmp_path / "o")],
+            "score": ["eval", "intrusion", "score", "--answers", str(paths["answers"]), "--key", str(paths["key"])],
+        }[command]
+        assert main(argv) == 1
+        (name,) = bad
+        assert f"error: {paths[name]}: " in capsys.readouterr().err

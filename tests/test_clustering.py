@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinionsum.clustering import ClusterConfig, agglomerate, build_summary, merge_sequence
-from opinionsum.extraction import Phrase
+from opinionsum.clustering import ClusterConfig, agglomerate, build_summary, merge_sequence, sorted_points
 from util import naive_agglomerate
 
 
@@ -77,11 +76,11 @@ class TestAgglomerate:
         for make, linkage in cases:
             for _ in range(15):
                 points = make(rng, int(rng.integers(2, 25)))
-                merges = merge_sequence(np.vstack([v for _, v in points]), linkage)  # points are in id order
                 shuffled = [points[i] for i in rng.permutation(len(points))]
+                groups = _groups({("a", "s"): shuffled}, linkage)
                 for t in thresholds:
-                    got = agglomerate(shuffled, ClusterConfig(threshold=t, linkage=linkage), list(merges))
-                    assert got == naive_agglomerate(shuffled, t, linkage), (make.__name__, linkage, t)
+                    got = build_summary(groups, t)[("a", "s")]
+                    assert got == _by_size(naive_agglomerate(shuffled, t, linkage)), (make.__name__, linkage, t)
 
     def test_merge_sequence_is_complete_and_ordered(self):
         points = _points(np.random.default_rng(44), 12)
@@ -91,24 +90,13 @@ class TestAgglomerate:
         assert [d for _, _, d in merges] == sorted(d for _, _, d in merges)  # complete linkage is monotone
         assert len({j for _, j, _ in merges}) == 11  # each cluster is folded away once
 
-    def test_empty_merge_list_receives_the_sequence(self, monkeypatch):
-        points = _points(np.random.default_rng(45), 10)
-        merges = []
-        first = agglomerate(points, ClusterConfig(threshold=8.0), merges)
-        assert merges == merge_sequence(np.vstack([v for _, v in points]), "complete")
-        calls = []
-        monkeypatch.setattr("opinionsum.clustering.merge_sequence", lambda *a: calls.append(a))
-        assert agglomerate(points, ClusterConfig(threshold=8.0), merges) == first
-        assert agglomerate(points, ClusterConfig(threshold=3.0), merges) == naive_agglomerate(points, 3.0)
-        assert calls == []
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected_by_id(self, bad):
         points = [("a", np.array([0.0])), ("b", np.array([bad])), ("c", np.array([1.0]))]
         with pytest.raises(ValueError, match="'b'"):
             agglomerate(points, ClusterConfig(threshold=0.5))
         with pytest.raises(ValueError, match="'b'"):
-            agglomerate(points, ClusterConfig(threshold=0.5), [(0, 2, 1.0), (0, 1, 2.0)])
+            sorted_points(points)
 
     def test_memory_bounded_by_link_matrix(self):
         n, dim = 400, 64
@@ -171,73 +159,46 @@ class TestAgglomerate:
             ClusterConfig(threshold=float("nan")).validate()
 
 
-def _phrase(pid, sid="s0"):
-    return Phrase(pid, sid, (0,), pid, "dependency")
+def _groups(points_by_key: dict, linkage: str = "complete") -> dict:
+    """{key: (ids, merge_sequence)} as the cluster stage stores each group."""
+    groups = {}
+    for key, points in points_by_key.items():
+        ids, vecs = sorted_points(points)
+        groups[key] = (ids, merge_sequence(vecs, linkage))
+    return groups
+
+
+def _by_size(clusters):
+    return sorted(clusters, key=lambda members: (-len(members), members[0]))
 
 
 class TestBuildSummary:
     def test_single_group_single_cluster(self):
-        phrases = [_phrase(f"p{i}") for i in range(4)]
-        embeddings = {p.id: np.array([float(i) * 0.1]) for i, p in enumerate(phrases)}
-        summary = build_summary(
-            phrases,
-            {p.id: "food" for p in phrases},
-            {p.id: "good" for p in phrases},
-            embeddings,
-            ClusterConfig(threshold=7.0),
-        )
+        points = [(f"p{i}", np.array([i * 0.1])) for i in range(4)]
+        summary = build_summary(_groups({("food", "good"): points}), 7.0)
         assert list(summary) == [("food", "good")]
-        clusters = summary[("food", "good")]
-        assert len(clusters) == 1
-        assert clusters[0] == [p.id for p in phrases]
-
-    def test_none_labels_excluded(self):
-        phrases = [_phrase("p0"), _phrase("p1")]
-        summary = build_summary(
-            phrases,
-            {"p0": "food", "p1": None},
-            {"p0": "good", "p1": "good"},
-            {"p0": np.zeros(2), "p1": np.zeros(2)},
-            ClusterConfig(),
-        )
-        members = [m for cs in summary.values() for c in cs for m in c]
-        assert members == ["p0"]
+        assert summary[("food", "good")] == [["p0", "p1", "p2", "p3"]]
 
     def test_planted_partition_recovered(self):
         rng = np.random.default_rng(11)
         centers = {0: np.full(4, 0.0), 1: np.full(4, 50.0)}
-        phrases, embeddings, expect = [], {}, {0: [], 1: []}
+        points, expect = [], {0: [], 1: []}
         for i in range(12):
             side = i % 2
             pid = f"p{i:02d}"
-            phrases.append(_phrase(pid))
-            embeddings[pid] = centers[side] + rng.normal(0, 0.5, size=4)
+            points.append((pid, centers[side] + rng.normal(0, 0.5, size=4)))
             expect[side].append(pid)
-        summary = build_summary(
-            phrases,
-            {p.id: "food" for p in phrases},
-            {p.id: "good" for p in phrases},
-            embeddings,
-            ClusterConfig(threshold=7.0),
-        )
-        clusters = summary[("food", "good")]
+        clusters = build_summary(_groups({("food", "good"): points}), 7.0)[("food", "good")]
         got = sorted(sorted(c) for c in clusters)
         assert got == sorted([sorted(expect[0]), sorted(expect[1])])
 
     def test_clusters_ordered_by_size_then_min_id(self):
-        phrases = [_phrase(f"p{i}") for i in range(5)]
-        embeddings = {
-            "p0": np.array([0.0]),
-            "p1": np.array([0.1]),
-            "p2": np.array([0.2]),
-            "p3": np.array([100.0]),
-            "p4": np.array([200.0]),
-        }
-        summary = build_summary(
-            phrases,
-            {p.id: "food" for p in phrases},
-            {p.id: "good" for p in phrases},
-            embeddings,
-            ClusterConfig(threshold=7.0),
-        )
+        points = [("p4", np.array([200.0])), ("p3", np.array([100.0]))]
+        points += [(f"p{i}", np.array([i * 0.1])) for i in range(3)]
+        summary = build_summary(_groups({("food", "good"): points}), 7.0)
         assert summary[("food", "good")] == [["p0", "p1", "p2"], ["p3"], ["p4"]]
+
+    def test_groups_come_back_in_key_order(self):
+        points = [("p0", np.zeros(2))]
+        groups = _groups({("service", "good"): points, ("food", "bad"): points, ("food", "good"): points})
+        assert list(build_summary(groups, 1.0)) == [("food", "bad"), ("food", "good"), ("service", "good")]

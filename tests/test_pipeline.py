@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import logging
 import os
 import re
 import shutil
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 from opinionsum import clustering, pipeline
+from opinionsum.cli import main
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
 from opinionsum.distill import DistillConfig
@@ -139,13 +139,13 @@ class TestPhraseVectors:
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
         w = Path(copy.workdir)
-        expect = (w / "clusters.jsonl").read_bytes()
-        keep = {"phrases.jsonl", "classified.jsonl", "phrase_vectors.npy"}
+        expect = (w / "merges.jsonl").read_bytes()
+        keep = {"classified.jsonl", "phrase_vectors.npy"}
         for f in w.iterdir():
             if f.is_file() and f.name not in keep:
                 f.unlink()
         run_stage(copy, "cluster")
-        assert (w / "clusters.jsonl").read_bytes() == expect
+        assert (w / "merges.jsonl").read_bytes() == expect
 
     def test_cluster_rejects_row_count_mismatch(self, ran, tmp_path):
         cfg, _ = ran
@@ -166,77 +166,65 @@ def _count_sequences(monkeypatch) -> list:
         calls.append(len(args[0]))
         return real(*args)
 
-    monkeypatch.setattr(clustering, "merge_sequence", counting)
+    for owner in (clustering, pipeline):
+        monkeypatch.setattr(owner, "merge_sequence", counting)
     return calls
 
 
-def _damage_truncate(w):
-    path = w / "merges.jsonl"
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+def _edit_merges(edit):
+    """Damage: apply edit to the first merges.jsonl row with a merge."""
 
-
-def _damage_not_json(w):
-    (w / "merges.jsonl").write_text("merges\n")
-
-
-def _damage_first_merge(index, value):
     def damage(w):
         path = w / "merges.jsonl"
         lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        merge = record["merges"][0]
-        merge[index] = value(record["merges"]) if callable(value) else value
-        lines[1] = json.dumps(record)
+        n = next(k for k, line in enumerate(lines) if json.loads(line)["merges"])
+        record = json.loads(lines[n])
+        edit(record)
+        lines[n] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
+        return n + 1
 
     return damage
 
 
-_damage_j_out_of_range = _damage_first_merge(1, lambda merges: len(merges) + 1)  # j = n
-_damage_nan_distance = _damage_first_merge(2, float("nan"))
+def _truncate(w):
+    path = w / "merges.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
+    return len(lines)
+
+
+def _not_json(w):
+    (w / "merges.jsonl").write_text("merges\n")
+    return 1
+
+
+def _set_first_merge(index, value):
+    def edit(record):
+        record["merges"][0][index] = value(record) if callable(value) else value
+
+    return _edit_merges(edit)
 
 
 class TestMergeSequences:
-    """The cluster stage keeps each group's merge sequence in merges.jsonl and
-    cuts it again when only the threshold changed."""
+    """The cluster stage stores each group's merge sequence in merges.jsonl;
+    summarize cuts the stored sequences at the threshold."""
 
     @staticmethod
     def _groups(w: Path) -> int:
-        return len({(r["target_id"], r["aspect"], r["sentiment"]) for r in _read_jsonl(w / "clusters.jsonl")})
+        return sum(1 for line in open(w / "merges.jsonl") if line.strip())
 
-    @staticmethod
-    def _computed(cfg, monkeypatch) -> int:
-        """Run the cluster stage and return how many sequences it computed,
-        after checking its clusters and stored sequences against a run that
-        starts with none stored."""
-        calls = _count_sequences(monkeypatch)
-        run_stage(cfg, "cluster")
-        w = Path(cfg.workdir)
-        clusters, merges = (w / "clusters.jsonl").read_bytes(), (w / "merges.jsonl").read_bytes()
-        computed = len(calls)
-        (w / "merges.jsonl").unlink()
-        run_stage(cfg, "cluster")
-        assert (w / "clusters.jsonl").read_bytes() == clusters
-        assert (w / "merges.jsonl").read_bytes() == merges
-        return computed
-
-    def test_threshold_change_computes_no_sequence(self, ran, tmp_path, monkeypatch, caplog):
+    def test_threshold_change_computes_no_sequence(self, ran, tmp_path, monkeypatch):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        groups = self._groups(Path(copy.workdir))
         calls = _count_sequences(monkeypatch)
         retuned = dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.1))
-        with caplog.at_level(logging.INFO, logger="opinionsum"):
-            report = run_pipeline(retuned)
-        assert report["cluster"] == "ran" and calls == []
-        assert f"cluster: {groups} groups, {groups} sequences reused, 0 computed" in caplog.messages
+        report = run_pipeline(retuned)
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
+        assert calls == []
 
-        fresh = dataclasses.replace(retuned, workdir=str(tmp_path / "fresh"))
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="opinionsum"):
-            run_pipeline(fresh)
-        assert f"cluster: {groups} groups, 0 sequences reused, {groups} computed" in caplog.messages
-        for name in ("clusters.jsonl", "summary.json", "merges.jsonl"):
+        run_pipeline(dataclasses.replace(retuned, workdir=str(tmp_path / "fresh")))
+        for name in ("merges.jsonl", "clusters.jsonl", "summary.json"):
             assert (tmp_path / "work" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
         at_default = (Path(cfg.workdir) / "clusters.jsonl").read_bytes()
         assert (tmp_path / "work" / "clusters.jsonl").read_bytes() != at_default
@@ -244,30 +232,61 @@ class TestMergeSequences:
     def test_linkage_change_recomputes(self, ran, tmp_path, monkeypatch):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        single = dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.1, linkage="single"))
-        assert self._computed(single, monkeypatch) == self._groups(Path(copy.workdir))
+        calls = _count_sequences(monkeypatch)
+        report = run_pipeline(dataclasses.replace(copy, cluster=ClusterConfig(linkage="single")))
+        assert report["cluster"] == report["summarize"] == "ran"
+        assert len(calls) == self._groups(Path(copy.workdir))
 
     def test_changed_phrase_vectors_recompute(self, ran, tmp_path, monkeypatch):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        path = Path(copy.workdir) / "phrase_vectors.npy"
-        before = path.read_bytes()
+        w = Path(copy.workdir)
+        before = _read_jsonl(w / "merges.jsonl")
         encode = pipeline.encode_phrases
         monkeypatch.setattr(pipeline, "encode_phrases", lambda *a: [(y, 2 * v) for y, v in encode(*a)])
         run_stage(copy, "classify")
-        assert path.read_bytes() != before
-        assert self._computed(copy, monkeypatch) == self._groups(Path(copy.workdir))
+        run_stage(copy, "cluster")
+        # doubling every vector doubles every distance exactly and keeps the order
+        for row in before:
+            row["merges"] = [[i, j, 2 * d] for i, j, d in row["merges"]]
+        assert _read_jsonl(w / "merges.jsonl") == before
 
-    @pytest.mark.parametrize(
-        "damage, computed",
-        [(_damage_truncate, None), (_damage_not_json, None), (_damage_j_out_of_range, 1), (_damage_nan_distance, 1)],
-    )
-    def test_damaged_file_recomputes(self, ran, tmp_path, monkeypatch, damage, computed):
+    def test_rejected_phrases_left_out(self, ran, tmp_path):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        damage(Path(copy.workdir))
-        groups = self._groups(Path(copy.workdir))
-        assert self._computed(copy, monkeypatch) == (computed or groups)
+        w = Path(copy.workdir)
+        rows = _read_jsonl(w / "classified.jsonl")
+        rows[0]["aspect"] = None
+        (w / "classified.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        run_stage(copy, "cluster")
+        run_stage(copy, "summarize")
+        stored = [m for row in _read_jsonl(w / "merges.jsonl") for m in row["members"]]
+        clustered = [m for row in _read_jsonl(w / "clusters.jsonl") for m in row["members"]]
+        eligible = sorted(r["phrase_id"] for r in rows if r["aspect"] and r["sentiment"])
+        assert rows[0]["phrase_id"] not in eligible
+        assert sorted(stored) == sorted(clustered) == eligible
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _truncate,
+            _not_json,
+            _set_first_merge(1, lambda record: len(record["members"])),  # j = n
+            _set_first_merge(2, float("nan")),
+            _edit_merges(lambda record: record["members"].pop()),
+        ],
+        ids=["truncated", "not-json", "j-equals-n", "nan-distance", "length-mismatch"],
+    )
+    def test_damaged_file_exits_1(self, ran, tmp_path, capsys, damage):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        line = damage(Path(copy.workdir))
+        flags = ["--corpus", cfg.corpus, "--trees", cfg.trees, "--workdir", copy.workdir]
+        flags += ["--aspect-schema", cfg.aspect_schema, "--sentiment-schema", cfg.sentiment_schema]
+        capsys.readouterr()
+        assert main(["summarize", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"merges.jsonl:{line}: " in err and "Traceback" not in err
 
     def test_non_finite_vector_fails_naming_the_phrase(self, ran, tmp_path):
         cfg, _ = ran
@@ -291,20 +310,23 @@ class TestResume:
 
     def test_deleting_cluster_output_reruns_cluster_and_summarize(self, ran):
         cfg, _ = ran
-        (Path(cfg.workdir) / "clusters.jsonl").unlink()
+        (Path(cfg.workdir) / "merges.jsonl").unlink()
         report = run_pipeline(cfg)
         expect = {name: "skipped" for name in report}
         expect["cluster"] = expect["summarize"] = "ran"
         assert report == expect
 
+    def test_deleting_clusters_reruns_only_summarize(self, ran):
+        cfg, _ = ran
+        (Path(cfg.workdir) / "clusters.jsonl").unlink()
+        report = run_pipeline(cfg)
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
+
     def test_param_change_invalidates_downstream_only(self, ran):
         cfg, _ = ran
         changed = dataclasses.replace(cfg, cluster=ClusterConfig(threshold=3.0))
         report = run_pipeline(changed)
-        assert report["cluster"] == "ran" and report["summarize"] == "ran"
-        assert all(
-            status == "skipped" for name, status in report.items() if name not in ("cluster", "summarize")
-        )
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
 
         upstream = dataclasses.replace(changed, embed=EmbedConfig(dim=16, epochs=5))
         report = run_pipeline(upstream)
@@ -433,7 +455,7 @@ class TestValidation:
         run_pipeline(cfg)
         w = Path(cfg.workdir)
         (w / "classified.jsonl").write_text("this is not json\n")
-        (w / "clusters.jsonl").unlink()  # force the cluster stage to re-run
+        (w / "merges.jsonl").unlink()  # force the cluster stage to re-run
         with pytest.raises(StageError, match="cluster") as err:
             run_pipeline(cfg)
         assert err.value.stage == "cluster"
