@@ -8,12 +8,12 @@ Inference attends over each sentence once and pools all of its phrase spans
 from that pass (`encode_spans`); the pooled vectors are the clustering space.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
+from .arrayfile import load_arrays, save_arrays
 from .corpus import Sentence, Vocabulary
 from .distill import distill_loss
 
@@ -291,54 +291,32 @@ def classify_phrase(y: np.ndarray, theta2: float, categories: list[str]) -> str 
     return categories[i] if y[i] >= theta2 else None
 
 
-CHECKPOINT_FORMAT = "refenc-v1"  # the header's "format"; pipeline stage hashes include it
+CHECKPOINT_FORMAT = "refenc-v2"  # the checkpoint's arrayfile kind
 
 
-def _array_layout(model: ReferenceEncoder) -> list:
-    return [[name, list(model.params[name].shape)] for name in _PARAM_ORDER]
+def _checkpoint_layout(header: dict) -> list:
+    dim, n_cats = header["dim"], len(header["categories"])
+    shapes = ([header["vocab_size"], dim], [dim, dim], [dim, dim], [dim, dim], [dim, n_cats], [n_cats])
+    return [[name, "<f4", shape] for name, shape in zip(_PARAM_ORDER, shapes)]
 
 
 def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha256: str = "") -> None:
-    """JSON header line, then the parameter arrays as little-endian float32
-    in the documented order."""
-    header = {
-        "format": CHECKPOINT_FORMAT,
+    """The parameter arrays as float32 in the arrayfile container, in the
+    order of _PARAM_ORDER; the header holds the dims, the category names, the
+    schema hash and the seed."""
+    meta = {
         "dim": model.dim,
         "vocab_size": model.vocab_size,
         "categories": model.categories,
         "schema_sha256": schema_sha256,
         "rng_seed": rng_seed,
-        "arrays": _array_layout(model),
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for name in _PARAM_ORDER:
-            f.write(model.params[name].astype("<f4").tobytes())
+    save_arrays(path, CHECKPOINT_FORMAT, meta, [(name, "<f4", model.params[name]) for name in _PARAM_ORDER])
 
 
 def load_checkpoint(path) -> ReferenceEncoder:
-    with open(path, "rb") as f:
-        try:
-            header = json.loads(f.readline())
-        except ValueError:  # not JSON, or not text
-            header = None
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a classifier checkpoint")
-        missing = [key for key in ("vocab_size", "dim", "categories") if key not in header]
-        if missing:
-            raise ValueError(f"{path}: checkpoint header lacks {missing}")
-        raw = f.read()
-    model = ReferenceEncoder(header["vocab_size"], header["dim"], header["categories"])
-    if header.get("arrays") != _array_layout(model):
-        raise ValueError(f"{path}: arrays {header.get('arrays')} are not the expected {_array_layout(model)}")
-    offset = 0
-    for name, shape in header["arrays"]:
-        size = int(np.prod(shape)) * 4
-        flat = np.frombuffer(raw[offset : offset + size], dtype="<f4")
-        if flat.size * 4 != size:
-            raise ValueError(f"{path}: truncated weight block at {name!r}")
-        model.params[name] = flat.astype(np.float64).reshape(shape)
-        offset += size
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
+    keys = ("vocab_size", "dim", "categories")
+    header, arrays = load_arrays(path, CHECKPOINT_FORMAT, keys, _checkpoint_layout)
+    model = ReferenceEncoder(*(header[key] for key in keys))
+    model.params = dict(zip(_PARAM_ORDER, arrays))
     return model

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError
+from .corpus import CorpusError, read_jsonl
 from .evaluation import IntrusionSet, classification_metrics, coherence_score, diversity, make_intrusion_set
 from .pipeline import STAGES, PipelineConfig, StageError, ValidationError, run_pipeline, run_stage
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -159,25 +159,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_label_file(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{n}: not JSON ({exc})") from None
-            if not isinstance(row, dict) or "id" not in row or "label" not in row:
-                raise ValidationError(f"{path}:{n}: expected an object with 'id' and 'label', got {line.strip()[:80]}")
-            out[row["id"]] = row["label"]
-    return out
+def _label_row(line: str) -> tuple:
+    row = json.loads(line)  # an object with "id" and "label"
+    return row["id"], row["label"]
 
 
 def _cmd_eval_classify(args) -> int:
-    pred = _load_label_file(args.pred)
-    gold = _load_label_file(args.gold)
+    pred = dict(read_jsonl(args.pred, _label_row))
+    gold = dict(read_jsonl(args.gold, _label_row))
     ids = sorted(gold)
     missing = [i for i in ids if i not in pred]
     if missing:

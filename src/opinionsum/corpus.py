@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # Synthetic head index carried by HEAD=0 (root) arcs.  Root arcs are kept so
 # sentences round-trip, but extraction rules never match them.
@@ -23,8 +23,8 @@ _ID_COMMENT = re.compile(r"#\s*(sent_id|review_id|target_id)\s*=\s*(\S+)\s*$")
 
 
 class CorpusError(ValueError):
-    """Malformed corpus, tree, or schema input; line is the 1-based input
-    line it was found on, when known."""
+    """Malformed corpus, tree or schema input, or a damaged workdir artifact;
+    line is the 1-based input line it was found on, when known."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -459,19 +459,20 @@ def sentence_from_json(line: str) -> Sentence:
     return Sentence(obj["id"], obj["target_id"], obj["review_id"], tokens, deps, tree)
 
 
-def save_manifest(sentences: Iterable[Sentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(sentence_to_json(s) + "\n")
-
-
 def load_manifest(path) -> list[Sentence]:
-    with _located(path):
-        return [sentence_from_json(line) for line in _nonempty_lines(path)]
+    return read_jsonl(path, sentence_from_json)
 
 
-def _nonempty_lines(path) -> Iterator[str]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                yield line
+def read_jsonl(path, parse) -> list:
+    """parse(line) of each non-blank line of path.  A line that parse
+    rejects raises a CorpusError naming path:line."""
+    out = []
+    with open(path, "rb") as f:  # decoded line by line, so that a bad byte names its line
+        for n, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append(parse(line))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise CorpusError(f"{path}:{n}: malformed row ({type(exc).__name__}: {exc})") from None
+    return out

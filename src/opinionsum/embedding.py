@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayfile import load_arrays, save_arrays
 from .corpus import CategorySchema, Sentence, Vocabulary
 
 # Exponent flattening the unigram negative-sampling distribution.
@@ -408,66 +409,23 @@ def phrase_similarity(space: SphereSpace, words: list[str]) -> np.ndarray:
     return mean @ space.cat_vecs.T
 
 
+_SPACE_KIND = "sphere-space"
+_SPACE_KEYS = ("dim", "words", "sent_ids", "cat_names", "m_inter", "m_intra")
+
+
+def _space_layout(header: dict) -> list:
+    names = (("word", header["words"]), ("sent", header["sent_ids"]), ("cat", header["cat_names"]))
+    return [[f"{kind}_vecs", "<f8", [len(ids), header["dim"]]] for kind, ids in names]
+
+
 def save_space(space: SphereSpace, path) -> None:
-    """Text format: header `dim n_words n_sents n_cats m_inter m_intra`, then
-    one `kind id v1 .. v_dim` row per vector (kind in word/sent/cat)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            f"{space.dim} {len(space.words)} {len(space.sent_ids)} "
-            f"{len(space.cat_names)} {space.m_inter!r} {space.m_intra!r}\n"
-        )
-        for kind, ids, table in (
-            ("word", space.words, space.word_vecs),
-            ("sent", space.sent_ids, space.sent_vecs),
-            ("cat", space.cat_names, space.cat_vecs),
-        ):
-            for name, vec in zip(ids, table):
-                if any(c.isspace() for c in name):
-                    raise ValueError(f"{kind} id {name!r} contains whitespace")
-                f.write(f"{kind} {name} " + " ".join(repr(float(x)) for x in vec) + "\n")
+    """The word, sentence and category tables as float64 in the arrayfile
+    container; the header holds their names, dim and the margins."""
+    meta = {key: getattr(space, key) for key in _SPACE_KEYS}
+    tables = [(f"{kind}_vecs", "<f8", getattr(space, f"{kind}_vecs")) for kind in ("word", "sent", "cat")]
+    save_arrays(path, _SPACE_KIND, meta, tables)
 
 
 def load_space(path) -> SphereSpace:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) < 6:
-            raise ValueError(f"{path}:1: header has {len(header)} fields, expected 6")
-        try:
-            dim, n_words, n_sents, n_cats = (int(x) for x in header[:4])
-            m_inter, m_intra = float(header[4]), float(header[5])
-        except ValueError:
-            raise ValueError(f"{path}:1: header field is not a number") from None
-        names: dict[str, list[str]] = {"word": [], "sent": [], "cat": []}
-        rows: dict[str, list[np.ndarray]] = {"word": [], "sent": [], "cat": []}
-        for lineno, line in enumerate(f, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: row has no id")
-            kind, name = parts[0], parts[1]
-            try:
-                vec = np.asarray([float(x) for x in parts[2:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value in row for {name!r}") from None
-            if kind not in names or len(vec) != dim:
-                raise ValueError(f"{path}:{lineno}: bad row for {name!r}")
-            names[kind].append(name)
-            rows[kind].append(vec)
-    if (len(names["word"]), len(names["sent"]), len(names["cat"])) != (n_words, n_sents, n_cats):
-        raise ValueError(f"{path}: row counts disagree with header")
-
-    def stack(kind):
-        return np.vstack(rows[kind]) if rows[kind] else np.empty((0, dim))
-
-    return SphereSpace(
-        dim,
-        names["word"],
-        names["sent"],
-        names["cat"],
-        stack("word"),
-        stack("sent"),
-        stack("cat"),
-        m_inter,
-        m_intra,
-    )
+    h, tables = load_arrays(path, _SPACE_KIND, _SPACE_KEYS, _space_layout)
+    return SphereSpace(h["dim"], h["words"], h["sent_ids"], h["cat_names"], *tables, h["m_inter"], h["m_intra"])

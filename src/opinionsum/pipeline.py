@@ -2,12 +2,13 @@
 
 Stages run in a fixed order, each writing its artifacts to the workdir
 atomically.  A stage is skipped on re-run when its recorded hash (own params,
-chained upstream hashes, external input digests, code version) still matches
-and no upstream stage re-ran; anything downstream of a re-run stage re-runs
-too.  The three training stages train their aspect and sentiment models in two
+chained upstream hashes, external input digests, a digest of the package's
+sources) still matches and no upstream stage re-ran; anything downstream of a
+re-run stage re-runs too.  The three training stages train their aspect and sentiment models in two
 forked worker processes, one per schema.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -21,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from .arrayfile import load_arrays, save_arrays
 from .classifier import (
-    CHECKPOINT_FORMAT,
     ReferenceEncoder,
     TrainConfig,
     classify_phrase,
@@ -34,7 +34,16 @@ from .classifier import (
     train_on_sentences,
 )
 from .clustering import ClusterConfig, build_summary, merge_sequence, sorted_points
-from .corpus import CorpusError, Vocabulary, build_vocab, load_corpus, load_manifest, load_schema, save_manifest
+from .corpus import (
+    CorpusError,
+    Vocabulary,
+    build_vocab,
+    load_corpus,
+    load_manifest,
+    load_schema,
+    read_jsonl,
+    sentence_to_json,
+)
 from .distill import (
     DistillConfig,
     PseudoPhraseLabel,
@@ -49,6 +58,8 @@ log = logging.getLogger("opinionsum")
 
 _KINDS = ("aspect", "sentiment")
 _INPUT_FIELDS = ("corpus", "trees", "aspect_schema", "sentiment_schema")
+_VECTORS_KIND = "phrase-vectors"  # the arrayfile kind of phrase_vectors.bin
+_CLASSIFIED_KEYS = {"phrase_id", "target_id", "surface", "aspect", "sentiment"}
 
 
 class ValidationError(ValueError):
@@ -158,17 +169,6 @@ def _write_lines(path: Path, lines):
     _atomic_save(path, lambda p: p.write_text("".join(line + "\n" for line in lines), encoding="utf-8"))
 
 
-def _save_npy(path: Path, array: np.ndarray):
-    # through a file handle: np.save appends ".npy" to a path not ending in it
-    with open(path, "wb") as f:
-        np.save(f, array)
-
-
-def _read_jsonl(path: Path, parse):
-    with open(path, encoding="utf-8") as f:
-        return [parse(line) for line in f if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # stage bodies
 
@@ -185,7 +185,7 @@ def _run_extract(cfg: PipelineConfig):
         keep.extend(load_schema(cfg.schema_path(kind), kind).all_keywords())
     vocab = build_vocab(sentences, cfg.min_count, keep=keep)
     phrase_lists = [extract_candidates(s) for s in sentences]
-    _atomic_save(w / "corpus.jsonl", lambda p: save_manifest(sentences, p))
+    _write_lines(w / "corpus.jsonl", [sentence_to_json(s) for s in sentences])
     _atomic_save(w / "vocab.txt", vocab.save)
     _write_lines(w / "phrases.jsonl", [phrase_to_json(p) for phrases in phrase_lists for p in phrases])
 
@@ -220,14 +220,14 @@ def _run_train_embed(cfg: PipelineConfig, kind: str) -> str:
     seed = seed_for(cfg.seed, "embed", kind)
     space = init_space(vocab, schema, cfg.embed, [s.id for s in sentences], seed)
     stats = SphereTrainer(space, sentences, schema, cfg.embed, seed).run()
-    _atomic_save(w / f"embed_{kind}.txt", lambda p: save_space(space, p))
+    _atomic_save(w / f"embed_{kind}.bin", lambda p: save_space(space, p))
     return f"train-embed[{kind}]: {len(stats)} epochs, final gen loss {stats[-1].gen_loss:.2f}"
 
 
 def _run_pseudo_label(cfg: PipelineConfig):
     w = _workdir(cfg)
     for kind in _KINDS:
-        space = load_space(w / f"embed_{kind}.txt")
+        space = load_space(w / f"embed_{kind}.bin")
         labels = pseudo_sentence_labels(space, space.sent_ids, cfg.distill)
         _write_lines(w / f"pseudo_sentences_{kind}.jsonl", [l.to_json() for l in labels])
 
@@ -237,7 +237,7 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
     sentences = load_manifest(w / "corpus.jsonl")
     vocab = Vocabulary.load(w / "vocab.txt")
     schema = load_schema(cfg.schema_path(kind), kind)
-    labels = _read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", PseudoSentenceLabel.from_json)
+    labels = read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", PseudoSentenceLabel.from_json)
     model = ReferenceEncoder(len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind))
     seed = seed_for(cfg.seed, "train", kind)
     _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
@@ -250,7 +250,7 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
 
 def _phrase_inputs(w: Path):
     sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
-    phrases = _read_jsonl(w / "phrases.jsonl", phrase_from_json)
+    phrases = read_jsonl(w / "phrases.jsonl", phrase_from_json)
     return sentences, phrases, Vocabulary.load(w / "vocab.txt")
 
 
@@ -258,7 +258,7 @@ def _run_phrase_labels(cfg: PipelineConfig):
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
     for kind in _KINDS:
-        space = load_space(w / f"embed_{kind}.txt")
+        space = load_space(w / f"embed_{kind}.bin")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
         labels = []
         for phrase, (y, _) in zip(phrases, encode_phrases(model, vocab, sentences, phrases)):
@@ -276,7 +276,7 @@ def _run_finetune(cfg: PipelineConfig, kind: str) -> str:
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
     model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-    labels = _read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
+    labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
     seed = seed_for(cfg.seed, "finetune", kind)
     by_id = {p.id: p for p in phrases}
     _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
@@ -304,16 +304,27 @@ def _run_classify(cfg: PipelineConfig):
         if kind == "aspect":
             # the aspect model's pooled vectors are the clustering space
             vectors = np.array([v for _, v in encoded], dtype=np.float64).reshape(len(phrases), model.dim)
-            _atomic_save(w / "phrase_vectors.npy", lambda p: _save_npy(p, vectors))
+            _atomic_save(
+                w / "phrase_vectors.bin",
+                lambda p: save_arrays(p, _VECTORS_KIND, {"dim": model.dim}, [("vectors", "<f8", vectors)]),
+            )
     _write_lines(w / "classified.jsonl", [json.dumps(row, sort_keys=True) for row in rows])
+
+
+def _classified_row(line: str) -> dict:
+    row = json.loads(line)
+    if type(row) is not dict or not _CLASSIFIED_KEYS <= row.keys():
+        raise ValueError(f"expected an object with {sorted(_CLASSIFIED_KEYS)}")
+    return row
 
 
 def _run_cluster(cfg: PipelineConfig):
     w = _workdir(cfg)
-    rows = _read_jsonl(w / "classified.jsonl", json.loads)
-    vectors = np.load(w / "phrase_vectors.npy")
-    if len(vectors) != len(rows):
-        raise ValueError(f"{w / 'phrase_vectors.npy'}: {len(vectors)} rows for {len(rows)} phrases in classified.jsonl")
+    rows = read_jsonl(w / "classified.jsonl", _classified_row)
+    # one row per line of classified.jsonl, in the same order
+    _, (vectors,) = load_arrays(
+        w / "phrase_vectors.bin", _VECTORS_KIND, ("dim",), lambda h: [["vectors", "<f8", [len(rows), h["dim"]]]]
+    )
     groups: dict[tuple[str, str, str], list] = {}  # rejected phrases are left out
     for row, vec in zip(rows, vectors):
         if row["aspect"] is not None and row["sentiment"] is not None:
@@ -328,53 +339,42 @@ def _run_cluster(cfg: PipelineConfig):
     _write_lines(w / "merges.jsonl", lines)
 
 
-def _read_merges(path: Path, surfaces: dict) -> dict[str, dict]:
-    """{target: {(aspect, sentiment): (members, merges)}} from merges.jsonl.
-
-    Each row must hold known phrase ids, ascending, and their full
-    merge_sequence: n - 1 merges [i, j, distance] with ints 0 <= i < j < n
-    and finite distances >= 0.  Any other line raises a CorpusError naming
-    path:line."""
-    groups: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                target, key = row["target_id"], (row["aspect"], row["sentiment"])
-                members, merges = row["members"], row["merges"]
-                valid = (
-                    all(type(s) is str for s in (target, *key, *members))
-                    and members == sorted(set(members))
-                    and surfaces.keys() >= set(members)
-                    and len(merges) == len(members) - 1
-                    and all(
-                        len(m) == 3
-                        and type(m[0]) is type(m[1]) is int
-                        and 0 <= m[0] < m[1] < len(members)
-                        and type(m[2]) is float
-                        and 0 <= m[2] < math.inf
-                        for m in merges
-                    )
-                )
-            except (ValueError, KeyError, TypeError):  # not JSON, or not an object of lists
-                valid = False
-            if not valid:
-                raise CorpusError(
-                    f"{path}:{n}: expected {{target_id, aspect, sentiment, members, merges}} with known phrase "
-                    "ids ascending and n - 1 merges [i, j, distance], 0 <= i < j < n, finite distance >= 0"
-                )
-            groups.setdefault(target, {})[key] = (members, merges)
-    return groups
+def _merges_row(line: str, surfaces: dict) -> dict:
+    """One merges.jsonl row: known phrase ids, ascending, and their full
+    merge_sequence, n - 1 merges [i, j, distance] with ints 0 <= i < j < n
+    and finite distances >= 0."""
+    row = json.loads(line)
+    members, merges = row["members"], row["merges"]
+    if not (
+        all(type(s) is str for s in (row["target_id"], row["aspect"], row["sentiment"], *members))
+        and members == sorted(set(members))
+        and surfaces.keys() >= set(members)
+        and len(merges) == len(members) - 1
+        and all(
+            len(m) == 3
+            and type(m[0]) is type(m[1]) is int
+            and 0 <= m[0] < m[1] < len(members)
+            and type(m[2]) is float
+            and 0 <= m[2] < math.inf
+            for m in merges
+        )
+    ):
+        raise ValueError(
+            "expected {target_id, aspect, sentiment, members, merges} with known phrase ids ascending "
+            "and n - 1 merges [i, j, distance], 0 <= i < j < n, finite distance >= 0"
+        )
+    return row
 
 
 def _run_summarize(cfg: PipelineConfig):
     w = _workdir(cfg)
-    surfaces = {r["phrase_id"]: r["surface"] for r in _read_jsonl(w / "classified.jsonl", json.loads)}
+    surfaces = {r["phrase_id"]: r["surface"] for r in read_jsonl(w / "classified.jsonl", _classified_row)}
+    merged: dict[str, dict] = {}  # target -> {(aspect, sentiment): (members, merges)}
+    for row in read_jsonl(w / "merges.jsonl", lambda line: _merges_row(line, surfaces)):
+        merged.setdefault(row["target_id"], {})[row["aspect"], row["sentiment"]] = (row["members"], row["merges"])
     cluster_lines = []
     out: dict[str, dict[str, list]] = {}  # target -> {"aspect|sentiment": [clusters]}
-    for target, groups in sorted(_read_merges(w / "merges.jsonl", surfaces).items()):
+    for target, groups in sorted(merged.items()):
         for (aspect, sentiment), clusters in build_summary(groups, cfg.cluster.threshold).items():
             entries = out.setdefault(target, {}).setdefault(f"{aspect}|{sentiment}", [])
             for k, members in enumerate(clusters):
@@ -420,7 +420,7 @@ STAGES = (
     ),
     _Stage(
         "train-embed",
-        ("embed_aspect.txt", "embed_sentiment.txt"),
+        ("embed_aspect.bin", "embed_sentiment.bin"),
         lambda c: {**asdict(c.embed), "seed": c.seed},
         lambda c: _per_kind(_run_train_embed, c),
     ),
@@ -451,7 +451,7 @@ STAGES = (
     _Stage(
         "classify",
         # the last artifact is the one a downstream StageError names as last good
-        ("phrase_vectors.npy", "classified.jsonl"),
+        ("phrase_vectors.bin", "classified.jsonl"),
         lambda c: {"theta2": c.distill.theta2},
         _run_classify,
     ),
@@ -478,24 +478,38 @@ def _file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _stage_hash(stage: _Stage, cfg: PipelineConfig, upstream: str) -> str:
-    # the code version and artifact format, so that an upgrade re-runs stages
-    payload = {
-        "stage": stage.name,
-        "params": stage.params(cfg),
-        "upstream": upstream,
-        "version": __version__,
-        "checkpoint_format": CHECKPOINT_FORMAT,
-    }
-    if stage.inputs is not None:
-        payload["inputs"] = {name: _file_digest(p) for name, p in stage.inputs(cfg).items()}
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+@functools.cache  # once per process
+def _source_digest() -> str:
+    """sha256 over the package's .py sources, so that any code change re-runs
+    every stage."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(f"{path.name}\0{_file_digest(path)}\n".encode())
+    return h.hexdigest()
 
 
-def _run(stage: _Stage, cfg: PipelineConfig, last_good: str):
-    """Run one stage body; whatever it raises becomes a StageError, except a
-    CorpusError, which names the malformed input file itself."""
+def _stage_hashes(cfg: PipelineConfig) -> list[str]:
+    """Each stage's chain hash for cfg: a digest of its name and params, the
+    hash of the stage before it, the package sources and the external inputs
+    it reads."""
+    hashes, upstream = [], ""
+    for stage in STAGES:
+        payload = {"stage": stage.name, "params": stage.params(cfg), "upstream": upstream, "code": _source_digest()}
+        if stage.inputs is not None:
+            payload["inputs"] = {name: _file_digest(p) for name, p in stage.inputs(cfg).items()}
+        upstream = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        hashes.append(upstream)
+    return hashes
+
+
+def _run(stage: _Stage, cfg: PipelineConfig, expected: str, last_good: str):
+    """Run one stage body, then record its hash in .meta/<stage>.json.  The
+    old record goes first, so a failed run leaves none.  Whatever the body
+    raises becomes a StageError, except a CorpusError, which names the
+    malformed input file itself."""
+    meta_path = _workdir(cfg) / ".meta" / f"{stage.name}.json"
+    meta_path.parent.mkdir(exist_ok=True)
+    meta_path.unlink(missing_ok=True)
     try:
         stage.run(cfg)
     except CorpusError:
@@ -505,10 +519,12 @@ def _run(stage: _Stage, cfg: PipelineConfig, last_good: str):
             stage.name,
             f"stage {stage.name!r} failed ({exc}); last good stage artifact: {last_good}",
         ) from exc
+    meta_path.write_text(json.dumps({"hash": expected, "artifacts": list(stage.artifacts)}, sort_keys=True))
 
 
 def run_stage(cfg: PipelineConfig, name: str):
-    """Run a single stage over the artifacts of the stage before it."""
+    """Run a single stage over the artifacts of the stage before it, and
+    record it as run_pipeline does."""
     names = [stage.name for stage in STAGES]
     if name not in names:
         raise ValidationError(f"unknown stage {name!r}")
@@ -522,7 +538,7 @@ def run_stage(cfg: PipelineConfig, name: str):
             raise ValidationError(f"stage {name!r} needs {missing} in {w}; run stage {before.name!r} first")
         last_good = str(w / before.artifacts[-1])
     w.mkdir(parents=True, exist_ok=True)
-    _run(STAGES[i], cfg, last_good)
+    _run(STAGES[i], cfg, _stage_hashes(cfg)[i], last_good)
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
@@ -530,23 +546,19 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
     cfg.validate()
     w = _workdir(cfg)
     w.mkdir(parents=True, exist_ok=True)
-    meta_dir = w / ".meta"
-    meta_dir.mkdir(exist_ok=True)
 
     report: dict[str, str] = {}
-    upstream = ""
     upstream_ran = False
     last_good = "(none)"
-    for stage in STAGES:
-        expected = _stage_hash(stage, cfg, upstream)
-        meta_path = meta_dir / f"{stage.name}.json"
+    for stage, expected in zip(STAGES, _stage_hashes(cfg)):
+        meta_path = w / ".meta" / f"{stage.name}.json"
         fresh = False
         if not force and not upstream_ran and meta_path.exists():
             try:
                 recorded = json.loads(meta_path.read_text())
-            except json.JSONDecodeError:
-                recorded = {}
-            fresh = recorded.get("hash") == expected and all(
+            except ValueError:  # not JSON, or not text
+                recorded = None
+            fresh = type(recorded) is dict and recorded.get("hash") == expected and all(
                 (w / a).exists() for a in stage.artifacts
             )
         if fresh:
@@ -554,12 +566,8 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
             log.info("stage %s: skipped (up to date)", stage.name)
         else:
             log.info("stage %s: running", stage.name)
-            _run(stage, cfg, last_good)
-            meta_path.write_text(
-                json.dumps({"hash": expected, "artifacts": list(stage.artifacts)}, sort_keys=True)
-            )
+            _run(stage, cfg, expected, last_good)
             report[stage.name] = "ran"
             upstream_ran = True
         last_good = str(w / stage.artifacts[-1])
-        upstream = expected
     return report

@@ -172,7 +172,7 @@ def test_03_margin_satisfaction(pipeline_run):
     """On the planted 2-category corpus (2000 sentences, 4 seeds/category),
     both hinge losses are exactly 0 after <= 50 epochs and every seed keyword
     is closest to its own category."""
-    space = load_space(pipeline_run.workdir / "embed_aspect.txt")
+    space = load_space(pipeline_run.workdir / "embed_aspect.bin")
     schema = load_schema(pipeline_run.paths["aspect_schema"], "aspect")
     inter = loss_inter(space)
     intra = loss_intra(space, schema)

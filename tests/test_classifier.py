@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opinionsum.classifier import (
+    CHECKPOINT_FORMAT,
     ClassifierInput,
     ReferenceEncoder,
     TrainConfig,
@@ -20,10 +21,10 @@ from opinionsum.classifier import (
     token_ids,
     train_on_sentences,
 )
-from opinionsum.corpus import build_vocab
+from opinionsum.corpus import CorpusError, build_vocab
 from opinionsum.distill import PseudoPhraseLabel, PseudoSentenceLabel, distill_loss
 from opinionsum.extraction import Phrase
-from util import make_sentence
+from util import make_sentence, rewrite_arrayfile
 
 
 def _model(dim=4, vocab=7, cats=("a", "b", "c"), seed=0):
@@ -317,24 +318,18 @@ class TestCheckpoint:
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(CorpusError, match=f"junk.ckpt: not a {CHECKPOINT_FORMAT} file"):
             load_checkpoint(path)
 
-    @staticmethod
-    def _rewrite_header(path, edit):
-        """Apply edit(header, blocks) to a saved checkpoint, where blocks maps
-        array name to its raw bytes, and write the result back."""
-        with open(path, "rb") as f:
-            header = json.loads(f.readline())
-            raw = f.read()
-        blocks, offset = {}, 0
-        for name, shape in header["arrays"]:
-            size = int(np.prod(shape)) * 4
-            blocks[name] = raw[offset : offset + size]
-            offset += size
-        edit(header, blocks)
-        body = b"".join(blocks[name] for name, _ in header["arrays"])
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    def test_header_records_float32_layout(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(_model(dim=4, vocab=7, cats=("a", "b")), path, rng_seed=3, schema_sha256="abc")
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert header["kind"] == CHECKPOINT_FORMAT and header["rng_seed"] == 3 and header["schema_sha256"] == "abc"
+        assert header["arrays"] == [
+            ["emb", "<f4", [7, 4]], ["wq", "<f4", [4, 4]], ["wk", "<f4", [4, 4]],
+            ["wv", "<f4", [4, 4]], ["wo", "<f4", [4, 2]], ["bo", "<f4", [2]],
+        ]
 
     def test_missing_arrays_rejected(self, tmp_path):
         path = tmp_path / "short.ckpt"
@@ -343,8 +338,8 @@ class TestCheckpoint:
         def drop_head(header, blocks):
             header["arrays"] = [a for a in header["arrays"] if a[0] not in ("wo", "bo")]
 
-        self._rewrite_header(path, drop_head)
-        with pytest.raises(ValueError, match="short.ckpt"):
+        rewrite_arrayfile(path, drop_head)
+        with pytest.raises(CorpusError, match="short.ckpt"):
             load_checkpoint(path)
 
     def test_renamed_array_rejected(self, tmp_path):
@@ -355,8 +350,8 @@ class TestCheckpoint:
             header["arrays"][-1][0] = "zz"
             blocks["zz"] = blocks.pop("bo")
 
-        self._rewrite_header(path, rename_bias)
-        with pytest.raises(ValueError, match="renamed.ckpt"):
+        rewrite_arrayfile(path, rename_bias)
+        with pytest.raises(CorpusError, match="renamed.ckpt"):
             load_checkpoint(path)
 
     def test_wrong_shape_rejected(self, tmp_path):
@@ -364,31 +359,31 @@ class TestCheckpoint:
         save_checkpoint(_model(dim=4, cats=("a", "b")), path)
 
         def widen_head(header, blocks):
-            header["arrays"][-2][1] = [4, 3]
+            header["arrays"][-2][2] = [4, 3]
             blocks["wo"] += blocks["wo"][:16]
 
-        self._rewrite_header(path, widen_head)
-        with pytest.raises(ValueError, match="wide.ckpt"):
+        rewrite_arrayfile(path, widen_head)
+        with pytest.raises(CorpusError, match="wide.ckpt"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["dim", "vocab_size", "categories"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         path = tmp_path / "nokey.ckpt"
         save_checkpoint(_model(), path)
-        self._rewrite_header(path, lambda header, blocks: header.pop(key))
-        with pytest.raises(ValueError, match=f"nokey.ckpt.*{key}"):
+        rewrite_arrayfile(path, lambda header, blocks: header.pop(key))
+        with pytest.raises(CorpusError, match=f"nokey.ckpt.*{key}"):
             load_checkpoint(path)
 
     def test_header_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "list.ckpt"
-        path.write_bytes(b'["refenc-v1", 4]\n')
-        with pytest.raises(ValueError, match="list.ckpt"):
+        path.write_bytes(b'["refenc-v2", 4]\n')
+        with pytest.raises(CorpusError, match="list.ckpt"):
             load_checkpoint(path)
 
     def test_header_not_json_rejected(self, tmp_path):
         path = tmp_path / "binary.ckpt"
         path.write_bytes(b"\x00\x01junk\n")
-        with pytest.raises(ValueError, match="binary.ckpt"):
+        with pytest.raises(CorpusError, match="binary.ckpt"):
             load_checkpoint(path)
 
     def test_unk_tokens_map_to_reserved_id(self):

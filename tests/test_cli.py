@@ -71,7 +71,10 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_stage_failure_exits_2(self, tmp_path, capsys):
+    def test_stage_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("no merges")
+
         paths = _synth(tmp_path, n=60)
         config = _config_file(tmp_path, paths)
         # single stage without its upstream artifacts is a caller error
@@ -83,8 +86,9 @@ class TestRun:
         assert main(["summarize", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "error: stage 'summarize' failed" in err and "classified.jsonl" in err
-        # force a mid-pipeline failure: corrupt, re-run cluster
-        (tmp_path / "work" / "classified.jsonl").write_text("not json\n")
+        # force a mid-pipeline failure: re-run cluster, which fails
+        assert main(["classify", "--config", str(config)]) == 0
+        monkeypatch.setattr(pipeline, "merge_sequence", fail)
         (tmp_path / "work" / "merges.jsonl").unlink()
         assert main(["run", "--config", str(config)]) == 2
         assert "cluster" in capsys.readouterr().err

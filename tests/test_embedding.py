@@ -1,10 +1,12 @@
 """Sphere embedding: init, margin losses, gradients, training invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
 from opinionsum import embedding
-from opinionsum.corpus import build_vocab, load_corpus, load_schema, parse_schema
+from opinionsum.corpus import CorpusError, build_vocab, load_corpus, load_schema, parse_schema
 from opinionsum.embedding import (
     EmbedConfig,
     SphereSpace,
@@ -24,7 +26,7 @@ from opinionsum.embedding import (
     sentence_scores,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import make_sentence, naive_pair_value_grads, naive_window_pairs
+from util import make_sentence, naive_pair_value_grads, naive_window_pairs, rewrite_arrayfile
 
 
 def _toy_vocab(words):
@@ -454,10 +456,16 @@ class TestPhraseSimilarity:
 
 
 class TestPersistence:
+    @staticmethod
+    def _saved(tmp_path, name="space.bin", dim=4):
+        path = tmp_path / name
+        save_space(init_space(_toy_vocab(["alpha", "beta"]), _schema(), EmbedConfig(dim=dim), ["s0"]), path)
+        return path
+
     def test_save_load_roundtrip(self, tmp_path):
         vocab = _toy_vocab(["alpha", "beta", "gamma"])
         space = init_space(vocab, _schema(), EmbedConfig(dim=6), ["s0", "s1"], seed=4)
-        path = tmp_path / "space.txt"
+        path = tmp_path / "space.bin"
         save_space(space, path)
         again = load_space(path)
         assert again.words == space.words
@@ -470,38 +478,43 @@ class TestPersistence:
 
     def test_header_format(self, tmp_path):
         vocab = _toy_vocab(["alpha", "beta"])
-        space = init_space(vocab, _schema(), EmbedConfig(dim=4, m_inter=0.7, m_intra=0.5), ["s0"])
-        path = tmp_path / "space.txt"
+        space = init_space(vocab, _schema(), EmbedConfig(dim=4, m_inter=0.7, m_intra=0.5), ["s 0"])
+        path = tmp_path / "space.bin"
         save_space(space, path)
-        header = path.read_text().splitlines()[0].split()
-        assert header == ["4", "2", "1", "2", "0.7", "0.5"]
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head) == {
+            "kind": "sphere-space",
+            "dim": 4,
+            "words": ["alpha", "beta"],
+            "sent_ids": ["s 0"],  # an id may hold whitespace
+            "cat_names": ["one", "two"],
+            "m_inter": 0.7,
+            "m_intra": 0.5,
+            "arrays": [["word_vecs", "<f8", [2, 4]], ["sent_vecs", "<f8", [1, 4]], ["cat_vecs", "<f8", [2, 4]]],
+        }
+        assert body == b"".join(t.astype("<f8").tobytes() for t in (space.word_vecs, space.sent_vecs, space.cat_vecs))
+        assert load_space(path).sent_ids == ["s 0"]
 
     def test_short_header_rejected(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("4 2 1 2 0.7\n")
-        with pytest.raises(ValueError, match=r"short\.txt:1:"):
+        path = self._saved(tmp_path, "short.bin")
+        rewrite_arrayfile(path, lambda header, blocks: header.pop("m_intra"))
+        with pytest.raises(CorpusError, match=r"short\.bin: header lacks \['m_intra'\]"):
             load_space(path)
 
     def test_row_without_id_rejected(self, tmp_path):
-        path = tmp_path / "space.txt"
-        save_space(init_space(_toy_vocab(["alpha", "beta"]), _schema(), EmbedConfig(dim=4), ["s0"]), path)
-        lines = path.read_text().splitlines()
-        lines[2] = "word"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"space\.txt:3:"):
+        path = self._saved(tmp_path)
+        rewrite_arrayfile(path, lambda header, blocks: header["words"].pop())
+        with pytest.raises(CorpusError, match=r"space\.bin: arrays .* are not the .* its header implies"):
             load_space(path)
 
     def test_non_numeric_header_rejected(self, tmp_path):
-        path = tmp_path / "space.txt"
-        path.write_text("a b c d e f\n")
-        with pytest.raises(ValueError, match=r"space\.txt:1:"):
+        path = tmp_path / "space.bin"
+        path.write_text("4 2 1 2 0.7 0.5\nword alpha 1.0 0.0 0.0 0.0\n")  # the old text format
+        with pytest.raises(CorpusError, match=r"space\.bin: header is not JSON"):
             load_space(path)
 
     def test_non_numeric_vector_field_rejected(self, tmp_path):
-        path = tmp_path / "space.txt"
-        save_space(init_space(_toy_vocab(["alpha", "beta"]), _schema(), EmbedConfig(dim=2), ["s0"]), path)
-        lines = path.read_text().splitlines()
-        lines[2] = "word w 1.0 x"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"space\.txt:3:.*'w'"):
+        path = self._saved(tmp_path)
+        rewrite_arrayfile(path, lambda header, blocks: header["arrays"][0].__setitem__(1, "|O"))
+        with pytest.raises(CorpusError, match=r"space\.bin: arrays"):
             load_space(path)

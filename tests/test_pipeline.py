@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from opinionsum import clustering, pipeline
+from opinionsum.arrayfile import load_arrays, save_arrays
 from opinionsum.cli import main
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
+from opinionsum.corpus import CorpusError
 from opinionsum.distill import DistillConfig
 from opinionsum.embedding import EmbedConfig, TrainingError
 from opinionsum.pipeline import (
@@ -124,7 +126,7 @@ class TestPhraseVectors:
 
         cfg, _ = ran
         w = Path(cfg.workdir)
-        vectors = np.load(w / "phrase_vectors.npy")
+        vectors = _load_vectors(w)
         phrases = [phrase_from_json(l) for l in open(w / "phrases.jsonl") if l.strip()]
         sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
         vocab = Vocabulary.load(w / "vocab.txt")
@@ -140,7 +142,7 @@ class TestPhraseVectors:
         copy = _copy(cfg, tmp_path / "work")
         w = Path(copy.workdir)
         expect = (w / "merges.jsonl").read_bytes()
-        keep = {"classified.jsonl", "phrase_vectors.npy"}
+        keep = {"classified.jsonl", "phrase_vectors.bin"}
         for f in w.iterdir():
             if f.is_file() and f.name not in keep:
                 f.unlink()
@@ -150,11 +152,21 @@ class TestPhraseVectors:
     def test_cluster_rejects_row_count_mismatch(self, ran, tmp_path):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        path = Path(copy.workdir) / "phrase_vectors.npy"
-        np.save(path, np.load(path)[:-1])
-        with pytest.raises(StageError, match="phrase_vectors.npy") as err:
+        w = Path(copy.workdir)
+        _save_vectors(w, _load_vectors(w)[:-1])
+        with pytest.raises(CorpusError, match=r"phrase_vectors\.bin: arrays .* are not the"):
             run_stage(copy, "cluster")
-        assert isinstance(err.value.__cause__, ValueError)
+
+
+def _load_vectors(w: Path) -> np.ndarray:
+    rows = sum(1 for line in open(w / "classified.jsonl") if line.strip())
+    layout = lambda h: [["vectors", "<f8", [rows, h["dim"]]]]
+    return load_arrays(w / "phrase_vectors.bin", pipeline._VECTORS_KIND, ("dim",), layout)[1][0]
+
+
+def _save_vectors(w: Path, vectors: np.ndarray):
+    meta = {"dim": vectors.shape[1]}
+    save_arrays(w / "phrase_vectors.bin", pipeline._VECTORS_KIND, meta, [("vectors", "<f8", vectors)])
 
 
 def _count_sequences(monkeypatch) -> list:
@@ -294,12 +306,97 @@ class TestMergeSequences:
         w = Path(copy.workdir)
         rows = _read_jsonl(w / "classified.jsonl")
         k = next(i for i, r in enumerate(rows) if r["aspect"] and r["sentiment"])
-        vectors = np.load(w / "phrase_vectors.npy")
+        vectors = _load_vectors(w)
         vectors[k, 1] = np.nan
-        np.save(w / "phrase_vectors.npy", vectors)
+        _save_vectors(w, vectors)
         with pytest.raises(StageError, match=re.escape(repr(rows[k]["phrase_id"])) + ".*non-finite") as err:
             run_stage(copy, "cluster")
         assert isinstance(err.value.__cause__, ValueError)
+
+
+def _edit_row(edit, line=1):
+    """Damage: apply edit to the JSON object on one line of a JSON-lines file."""
+
+    def damage(path):
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[line - 1])
+        edit(row)
+        lines[line - 1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        return line
+
+    return damage
+
+
+def _not_json_at(line):
+    def damage(path):
+        lines = path.read_text().splitlines()
+        lines[line - 1] = "not json"
+        path.write_text("\n".join(lines) + "\n")
+        return line
+
+    return damage
+
+
+def _not_utf8_at(line):
+    def damage(path):
+        lines = path.read_bytes().splitlines()
+        lines[line - 1] = lines[line - 1][:-2] + b"\xff\xfe"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return line
+
+    return damage
+
+
+def _cut_last_line(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
+    return len(lines)
+
+
+def _replace_header(path):
+    path.write_bytes(b"not json\n" + path.read_bytes().split(b"\n", 1)[1])
+
+
+def _append_byte(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+def _drop_last_bytes(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+class TestDamagedArtifacts:
+    """A damaged workdir artifact exits 1 with a message naming it (and the
+    line, for JSON lines), whichever stage reads it."""
+
+    @pytest.mark.parametrize(
+        "artifact, damage, command",
+        [
+            ("corpus.jsonl", _edit_row(lambda row: row.pop("tokens"), 2), "classify"),
+            ("phrases.jsonl", _cut_last_line, "classify"),
+            ("phrases.jsonl", _not_utf8_at(2), "classify"),
+            ("pseudo_sentences_aspect.jsonl", _not_json_at(2), "train-classifier"),
+            ("phrase_labels_sentiment.jsonl", _edit_row(lambda row: row.pop("outcome"), 3), "finetune-phrases"),
+            ("classified.jsonl", _edit_row(lambda row: row.pop("surface")), "cluster"),
+            ("classified.jsonl", _edit_row(lambda row: row.pop("surface")), "summarize"),
+            ("embed_aspect.bin", _append_byte, "pseudo-label"),
+            ("classifier_aspect_ft.ckpt", _drop_last_bytes, "classify"),
+            ("classifier_sentiment.ckpt", _replace_header, "finetune-phrases"),
+            ("phrase_vectors.bin", _replace_header, "cluster"),
+        ],
+    )
+    def test_exits_1_naming_the_file(self, ran, tmp_path, capsys, artifact, damage, command):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        line = damage(Path(copy.workdir) / artifact)
+        flags = ["--corpus", cfg.corpus, "--trees", cfg.trees, "--workdir", copy.workdir]
+        flags += ["--aspect-schema", cfg.aspect_schema, "--sentiment-schema", cfg.sentiment_schema]
+        capsys.readouterr()
+        assert main([command, *flags]) == 1
+        err = capsys.readouterr().err
+        where = f"{artifact}:{line}: " if line else f"{artifact}: "
+        assert where in err and "Traceback" not in err and "error: stage" not in err
 
 
 class TestResume:
@@ -360,12 +457,45 @@ class TestResume:
         report = run_pipeline(moved)
         assert report["extract"] == "ran"
 
-    @pytest.mark.parametrize("name", ["__version__", "CHECKPOINT_FORMAT"])
-    def test_code_or_format_change_reruns_everything(self, ran, tmp_path, monkeypatch, name):
+    def test_code_or_format_change_reruns_everything(self, ran, tmp_path, monkeypatch):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        monkeypatch.setattr(pipeline, name, "0.0.0-test")
+        monkeypatch.setattr(pipeline, "_source_digest", lambda: "0" * 64)
         assert list(run_pipeline(copy).values()) == ["ran"] * 9
+
+    def test_source_digest_covers_every_source_byte(self, tmp_path, monkeypatch):
+        real = pipeline._source_digest()
+        for src in Path(pipeline.__file__).parent.glob("*.py"):
+            shutil.copy(src, tmp_path / src.name)
+        monkeypatch.setattr(pipeline, "__file__", str(tmp_path / "pipeline.py"))
+        uncached = pipeline._source_digest.__wrapped__
+        assert uncached() == real
+        (tmp_path / "arrayfile.py").write_bytes((tmp_path / "arrayfile.py").read_bytes() + b"\n")
+        assert uncached() != real
+
+    def test_standalone_stage_run_is_recorded(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        fresh = (Path(cfg.workdir) / "summary.json").read_bytes()
+        record = (w / ".meta" / "summarize.json").read_text()
+        run_stage(dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.05)), "summarize")
+        assert (w / "summary.json").read_bytes() != fresh
+        assert (w / ".meta" / "summarize.json").read_text() != record
+        report = run_pipeline(copy)
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
+        assert (w / "summary.json").read_bytes() == fresh
+        assert (w / ".meta" / "summarize.json").read_text() == record
+        run_stage(copy, "summarize")
+        assert list(run_pipeline(copy).values()) == ["skipped"] * 9
+
+    @pytest.mark.parametrize("record", [b"[]", b"not json", b"\xff\xfe"])
+    def test_damaged_record_reruns_its_stage(self, ran, tmp_path, record):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        (Path(copy.workdir) / ".meta" / "summarize.json").write_bytes(record)
+        report = run_pipeline(copy)
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
 
     def test_force_reruns_all(self, ran):
         cfg, _ = ran
@@ -377,7 +507,7 @@ class TestWorkers:
     """The training stages run one forked worker per schema."""
 
     _TRAINED = (
-        "embed_aspect.txt", "embed_sentiment.txt",
+        "embed_aspect.bin", "embed_sentiment.bin",
         "classifier_aspect.ckpt", "classifier_sentiment.ckpt",
         "classifier_aspect_ft.ckpt", "classifier_sentiment_ft.ckpt",
     )
@@ -450,30 +580,34 @@ class TestValidation:
         assert cfg.embed.dim == 10 and cfg.cluster.threshold == 2.5
         assert cfg.distill.top_k == 2000  # untouched defaults
 
-    def test_stage_error_names_stage_and_last_good(self, tmp_path):
+    def test_stage_error_names_stage_and_last_good(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise ValueError("no merges")
+
         cfg = _small_config(tmp_path / "data", tmp_path / "work")
         run_pipeline(cfg)
         w = Path(cfg.workdir)
-        (w / "classified.jsonl").write_text("this is not json\n")
+        monkeypatch.setattr(pipeline, "merge_sequence", fail)
         (w / "merges.jsonl").unlink()  # force the cluster stage to re-run
         with pytest.raises(StageError, match="cluster") as err:
             run_pipeline(cfg)
         assert err.value.stage == "cluster"
         assert "classified.jsonl" in str(err.value)
+        assert not (w / ".meta" / "cluster.json").exists()  # the failed re-run dropped the old record
 
 
 class TestAtomicSave:
     def test_failed_saver_leaves_no_temporary_file(self, tmp_path):
-        target = tmp_path / "embed_aspect.txt"
+        target = tmp_path / "embed_aspect.bin"
         target.write_text("old")
 
         def saver(path):
             path.write_text("half")
-            raise ValueError("word id 'the x' contains whitespace")
+            raise OSError("No space left on device")
 
-        with pytest.raises(ValueError, match="whitespace"):
+        with pytest.raises(OSError, match="No space"):
             pipeline._atomic_save(target, saver)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["embed_aspect.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embed_aspect.bin"]
         assert target.read_text() == "old"
 
 

@@ -1,5 +1,7 @@
 """Shared fixture builders and reference oracles for the test suite."""
 
+import json
+
 import numpy as np
 
 from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
@@ -12,6 +14,22 @@ def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"
     deps = [DepArc(h, d, r) for h, d, r in arcs]
     parsed = parse_bracketed_tree(tree) if isinstance(tree, str) else tree
     return Sentence(sid, target, review, tokens, deps, parsed)
+
+
+def rewrite_arrayfile(path, edit):
+    """Apply edit(header, blocks) to an arrayfile container, where blocks
+    maps array name to its raw bytes, and write the result back."""
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        raw = f.read()
+    blocks, offset = {}, 0
+    for name, dtype, shape in header["arrays"]:
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        blocks[name] = raw[offset : offset + size]
+        offset += size
+    edit(header, blocks)
+    body = b"".join(blocks.values())
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
 
 
 RESTAURANT_ASPECTS = """\
