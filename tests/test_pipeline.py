@@ -457,10 +457,25 @@ class TestResume:
         report = run_pipeline(moved)
         assert report["extract"] == "ran"
 
-    def test_code_or_format_change_reruns_everything(self, ran, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("module, name", [("__init__.py", "__version__"), ("classifier.py", "CHECKPOINT_FORMAT")],
+                             ids=["__version__", "CHECKPOINT_FORMAT"])
+    def test_code_or_format_change_reruns_everything(self, ran, tmp_path, monkeypatch, module, name):
+        """Bumping the package version or the checkpoint format in the source
+        changes the source digest, and so every stage's hash."""
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        monkeypatch.setattr(pipeline, "_source_digest", lambda: "0" * 64)
+        src = tmp_path / "src"
+        src.mkdir()
+        for path in Path(pipeline.__file__).parent.glob("*.py"):
+            shutil.copy(path, src / path.name)
+        text = (src / module).read_text()
+        bumped = re.sub(rf'^({re.escape(name)} = ")', r"\1bumped-", text, count=1, flags=re.M)
+        assert bumped != text
+        (src / module).write_text(bumped)
+        real = pipeline._source_digest()
+        monkeypatch.setattr(pipeline, "__file__", str(src / "pipeline.py"))
+        monkeypatch.setattr(pipeline, "_source_digest", pipeline._source_digest.__wrapped__)
+        assert pipeline._source_digest() != real
         assert list(run_pipeline(copy).values()) == ["ran"] * 9
 
     def test_source_digest_covers_every_source_byte(self, tmp_path, monkeypatch):
