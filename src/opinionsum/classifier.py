@@ -3,9 +3,11 @@
 ReferenceEncoder is a small trainable stand-in for a large pretrained
 encoder: token embeddings + sinusoidal positions, one scaled dot-product
 self-attention layer, mean-pool over the phrase span (or whole sentence),
-and a linear softmax head.  Gradients are computed analytically in numpy.
-Inference attends over each sentence once and pools all of its phrase spans
-from that pass (`encode_spans`); the pooled vectors are the clustering space.
+and a linear softmax head.  Gradients are computed analytically in numpy,
+in one forward and one backward pass per minibatch padded to its longest
+input (`batch_loss_and_grads`).  Inference attends over each sentence once
+and pools all of its phrase spans from that pass (`encode_spans`); the
+pooled vectors are the clustering space.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,7 @@ from itertools import groupby
 import numpy as np
 
 from .arrayfile import load_arrays, save_arrays
-from .corpus import Sentence, Vocabulary
-from .distill import distill_loss
+from .corpus import CorpusError, Sentence, Vocabulary
 
 _CLIP_NORM = 5.0
 _PARAM_ORDER = ("emb", "wq", "wk", "wv", "wo", "bo")
@@ -124,14 +125,6 @@ class ReferenceEncoder:
         """Category distribution of one pooled vector."""
         return _softmax_rows(pooled @ self.params["wo"] + self.params["bo"])
 
-    def _forward(self, inp: ClassifierInput):
-        ids = inp.token_ids
-        span = inp.span if inp.span is not None else (0, len(ids))
-        e, q, k, v, att, h = self._attend(ids)
-        pooled = h[span[0] : span[1]].mean(axis=0)
-        cache = {"ids": ids, "span": span, "e": e, "q": q, "k": k, "v": v, "att": att, "h": h, "pooled": pooled}
-        return self._head(pooled), cache
-
     def encode_spans(self, ids, spans) -> list[tuple[np.ndarray, np.ndarray]]:
         """(distribution, pooled vector) of each [start, end) span of one
         token sequence, from a single attention pass."""
@@ -144,76 +137,127 @@ class ReferenceEncoder:
         return out
 
     def predict(self, inp: ClassifierInput) -> np.ndarray:
-        return self._forward(inp)[0]
+        return self.encode_spans(inp.token_ids, [_span_of(inp)])[0][0]
 
     def encode(self, inp: ClassifierInput) -> np.ndarray:
-        return self._forward(inp)[1]["pooled"]
+        return self.encode_spans(inp.token_ids, [_span_of(inp)])[0][1]
 
-    def _backward(self, d_logits: np.ndarray, cache: dict, grads: dict) -> None:
-        """Accumulate parameter gradients given d(loss)/d(logits)."""
-        p = self.params
-        span = cache["span"]
-        e, q, k, v, att = cache["e"], cache["q"], cache["k"], cache["v"], cache["att"]
-        grads["wo"] += np.outer(cache["pooled"], d_logits)
-        grads["bo"] += d_logits
-        d_pooled = p["wo"] @ d_logits
-        d_h = np.zeros_like(e)
-        d_h[span[0] : span[1]] = d_pooled / (span[1] - span[0])
-        d_att = d_h @ v.T
-        d_v = att.T @ d_h
-        # softmax backward, rows independent
-        d_scores = att * (d_att - np.sum(d_att * att, axis=1, keepdims=True))
-        d_scores /= np.sqrt(self.dim)
-        d_q = d_scores @ k
-        d_k = d_scores.T @ q
-        d_e = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
-        grads["wq"] += e.T @ d_q
-        grads["wk"] += e.T @ d_k
-        grads["wv"] += e.T @ d_v
-        np.add.at(grads["emb"], cache["ids"], d_e)
+
+def _span_of(inp: ClassifierInput) -> tuple[int, int]:
+    return inp.span if inp.span is not None else (0, len(inp.token_ids))
+
+
+@dataclass
+class _PaddedItems:
+    """(input, target) items as arrays, one row per item, padded to the
+    longest input."""
+
+    ids: np.ndarray  # (B, L) token ids, 0 past an input's end
+    lengths: np.ndarray  # (B,) input lengths
+    weights: np.ndarray  # (B, L) span pooling: pooled = weights @ h
+    targets: np.ndarray  # (B, C)
+
+    @classmethod
+    def of(cls, items) -> "_PaddedItems":
+        lengths = np.array([len(inp.token_ids) for inp, _ in items])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.zeros(valid.shape, dtype=np.intp)
+        ids[valid] = np.concatenate([inp.token_ids for inp, _ in items])
+        weights = np.zeros(valid.shape)
+        for row, (inp, _) in zip(weights, items):
+            s, e = _span_of(inp)
+            row[s:e] = 1.0 / (e - s)
+        return cls(ids, lengths, weights, np.array([target for _, target in items], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "_PaddedItems":
+        """The items at rows, padded to the longest of them."""
+        lengths = self.lengths[rows]
+        width = lengths.max()
+        return _PaddedItems(self.ids[rows, :width], lengths, self.weights[rows, :width], self.targets[rows])
 
 
 def batch_loss_and_grads(model: ReferenceEncoder, items) -> tuple[float, dict]:
-    """Mean distillation loss over (input, target) items plus its parameter
-    gradients."""
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    total = 0.0
-    inv = 1.0 / len(items)
-    for inp, target in items:
-        y, cache = model._forward(inp)
-        total += distill_loss(target, y)
-        model._backward((y - np.asarray(target)) * inv, cache, grads)
-    return total * inv, grads
+    """Mean distillation loss over (input, target) items, a list or already
+    padded, plus its parameter gradients, from one forward and one backward
+    pass over the whole batch.  Padded keys get no attention and padded rows
+    no gradient."""
+    batch = items if isinstance(items, _PaddedItems) else _PaddedItems.of(items)
+    ids, weights, targets = batch.ids, batch.weights, batch.targets
+    valid = np.arange(ids.shape[1]) < batch.lengths[:, None]
+    p, dim = model.params, model.dim
+    x = p["emb"][ids] + _positions(ids.shape[1], dim)
+    q, k, v = x @ p["wq"], x @ p["wk"], x @ p["wv"]
+    key_mask = np.where(valid, 0.0, -np.inf)[:, None, :]
+    att = _softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(dim) + key_mask)
+    h = att @ v
+    pooled = np.einsum("bl,bld->bd", weights, h)
+    y = model._head(pooled)
+    # distill.distill_loss per row: zero targets add nothing, y clamped at 1e-12
+    pos = targets > 0
+    terms = targets * np.log(np.where(pos, targets, 1.0) / np.maximum(y, 1e-12))
+    inv = 1.0 / len(batch)
+    loss = float(np.sum(terms, where=pos)) * inv
+
+    d_logits = (y - targets) * inv
+    d_h = weights[:, :, None] * (d_logits @ p["wo"].T)[:, None, :]
+    d_att = d_h @ v.transpose(0, 2, 1)
+    d_v = att.transpose(0, 2, 1) @ d_h
+    # softmax backward, rows independent
+    d_scores = att * (d_att - np.sum(d_att * att, axis=-1, keepdims=True))
+    d_scores /= np.sqrt(dim)
+    d_q = d_scores @ k
+    d_k = d_scores.transpose(0, 2, 1) @ q
+    d_x = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
+    x_t = x.reshape(-1, dim).T
+    grads = {
+        "emb": np.zeros_like(p["emb"]),
+        "wq": x_t @ d_q.reshape(-1, dim),
+        "wk": x_t @ d_k.reshape(-1, dim),
+        "wv": x_t @ d_v.reshape(-1, dim),
+        "wo": pooled.T @ d_logits,
+        "bo": d_logits.sum(axis=0),
+    }
+    np.add.at(grads["emb"], ids[valid], d_x[valid])
+    return loss, grads
 
 
-def _clip_global_norm(grads: dict, max_norm: float) -> None:
-    sq = sum(float(np.sum(g * g)) for g in grads.values())
-    norm = np.sqrt(sq)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+def _flatten_params(model: ReferenceEncoder) -> np.ndarray:
+    """Make model.params views of one vector, in _PARAM_ORDER, and return it,
+    so that a training step clips and updates every parameter at once."""
+    flat = np.concatenate([model.params[name].ravel() for name in _PARAM_ORDER])
+    ends = np.cumsum([model.params[name].size for name in _PARAM_ORDER])
+    parts = np.split(flat, ends[:-1])
+    model.params = {name: part.reshape(model.params[name].shape) for name, part in zip(_PARAM_ORDER, parts)}
+    return flat
 
 
 def _fit(model: ReferenceEncoder, items: list, config: TrainConfig, seed: int) -> list[float]:
-    """Minibatch SGD on the distillation loss; returns per-batch losses."""
+    """Minibatch SGD on the distillation loss, with the gradient's global
+    norm clipped at _CLIP_NORM; returns per-batch losses."""
     config.validate()
     if not items:
         return []
+    flat = _flatten_params(model)
+    padded = _PaddedItems.of(items)
     rng = np.random.default_rng(seed)
     trajectory = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(items))
         for start in range(0, len(items), config.batch_size):
-            batch = [items[i] for i in order[start : start + config.batch_size]]
+            batch = padded.take(order[start : start + config.batch_size])
             loss, grads = batch_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss in epoch {epoch}, batch at offset {start}"
                 )
-            _clip_global_norm(grads, _CLIP_NORM)
-            for name, g in grads.items():
-                model.params[name] -= config.learning_rate * g
+            g = np.concatenate([grads[name].ravel() for name in _PARAM_ORDER])
+            norm = np.sqrt(g @ g)
+            if norm > _CLIP_NORM:
+                g *= _CLIP_NORM / norm
+            flat -= config.learning_rate * g
             trajectory.append(float(loss))
     return trajectory
 
@@ -317,6 +361,9 @@ def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha
 def load_checkpoint(path) -> ReferenceEncoder:
     keys = ("vocab_size", "dim", "categories")
     header, arrays = load_arrays(path, CHECKPOINT_FORMAT, keys, _checkpoint_layout)
-    model = ReferenceEncoder(*(header[key] for key in keys))
+    try:
+        model = ReferenceEncoder(*(header[key] for key in keys))
+    except ValueError as exc:  # a self-consistent layout of dims the encoder rejects
+        raise CorpusError(f"{path}: {exc}") from None
     model.params = dict(zip(_PARAM_ORDER, arrays))
     return model

@@ -162,8 +162,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        data = Path(path).read_bytes()
         with _located(path):
+            try:
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"not UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1) from None
             if not lines or not lines[0].startswith("min_count "):
                 raise CorpusError("missing min_count header")
             try:

@@ -2,15 +2,17 @@
 `layers.instrument` wraps exists and is restored, and a traced op accounts
 for its wall time.  A rename in the package fails here, not in the benchmark."""
 
+import math
 import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from opinionsum import pipeline
-from opinionsum.classifier import TrainConfig
+from opinionsum import classifier, pipeline
+from opinionsum.classifier import ClassifierInput, ReferenceEncoder, TrainConfig
 from opinionsum.clustering import ClusterConfig
 from opinionsum.distill import DistillConfig
 from opinionsum.embedding import EmbedConfig
@@ -32,6 +34,21 @@ def test_instrument_wraps_and_restores_every_attribute():
     finally:
         tracer.restore()
     assert tracer.restored(originals)
+
+
+def test_traced_fit_counts_each_batch_and_item():
+    n, batch_size, epochs = 11, 4, 2
+    rng = np.random.default_rng(0)
+    items = [(ClassifierInput(rng.integers(0, 5, size=int(rng.integers(1, 6)))), np.full(3, 1 / 3)) for _ in range(n)]
+    model = ReferenceEncoder(5, 4, ["a", "b", "c"])
+    tracer = Tracer()
+    instrument(tracer)
+    try:
+        classifier._fit(model, items, TrainConfig(batch_size=batch_size, epochs=epochs), seed=0)
+    finally:
+        tracer.restore()
+    assert tracer.self_times()[1]["classifier.batch_loss_and_grads"] == epochs * math.ceil(n / batch_size)
+    assert tracer.counts["classifier.train_items"] == epochs * n
 
 
 def _traced_op(tracer, cfg):

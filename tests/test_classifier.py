@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from opinionsum.arrayfile import save_arrays
 from opinionsum.classifier import (
     CHECKPOINT_FORMAT,
     ClassifierInput,
     ReferenceEncoder,
     TrainConfig,
+    _checkpoint_layout,
+    _fit,
     _positions,
     batch_loss_and_grads,
     classify_phrase,
@@ -24,7 +27,7 @@ from opinionsum.classifier import (
 from opinionsum.corpus import CorpusError, build_vocab
 from opinionsum.distill import PseudoPhraseLabel, PseudoSentenceLabel, distill_loss
 from opinionsum.extraction import Phrase
-from util import make_sentence, rewrite_arrayfile
+from util import make_sentence, naive_batch_loss_and_grads, naive_fit, rewrite_arrayfile
 
 
 def _model(dim=4, vocab=7, cats=("a", "b", "c"), seed=0):
@@ -167,6 +170,53 @@ class TestGradients:
             denom = np.maximum(np.maximum(np.abs(grads[name]), np.abs(fd)), 1e-6)
             worst = float(np.max(np.abs(grads[name] - fd) / denom))
             assert worst < 1e-3, f"{name}: max relative error {worst:.3g}"
+
+
+# Ragged items for the batched pass: a one-token sentence, spans that are
+# None, a single token, the whole sentence and the last token, repeated token
+# ids, targets with zero entries and a uniform background target.
+_RAGGED = [
+    ([4], None, [1.0, 0.0, 0.0]),
+    ([2, 2, 2, 5], None, [1 / 3, 1 / 3, 1 / 3]),
+    ([1, 3, 2, 3, 3, 0], (2, 3), [0.2, 0.5, 0.3]),
+    ([7, 1, 1], (0, 3), [0.0, 0.3, 0.7]),
+    ([0, 8, 6, 8, 2], (4, 5), [0.6, 0.4, 0.0]),
+    ([5, 5, 3, 1, 0, 2, 2, 6], (1, 5), [0.1, 0.1, 0.8]),
+    ([6, 4], (0, 1), [1 / 3, 1 / 3, 1 / 3]),
+]
+
+
+def _ragged_items():
+    return [(ClassifierInput(np.array(ids), span), np.array(target)) for ids, span, target in _RAGGED]
+
+
+class TestBatchedPass:
+    """batch_loss_and_grads against the one-item-at-a-time reference."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, len(_RAGGED)])  # 3: a partial last batch
+    def test_matches_per_item_reference(self, batch_size):
+        model = _model(dim=6, vocab=9, seed=4)
+        items = _ragged_items()
+        for start in range(0, len(items), batch_size):
+            batch = items[start : start + batch_size]
+            loss, grads = batch_loss_and_grads(model, batch)
+            want_loss, want = naive_batch_loss_and_grads(model, batch)
+            assert abs(loss - want_loss) < 1e-10
+            assert grads.keys() == want.keys()
+            for name in want:
+                np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-10, err_msg=name)
+
+    def test_fit_matches_reference_stepped_fit(self):
+        items = _ragged_items() * 2
+        config = TrainConfig(learning_rate=0.5, batch_size=4, epochs=2)
+        model, ref = _model(dim=6, vocab=9, seed=4), _model(dim=6, vocab=9, seed=4)
+        for m in (model, ref):
+            m.params["wo"] *= 40.0  # large enough that some steps clip
+        trajectory = _fit(model, items, config, seed=3)
+        want = naive_fit(ref, items, config, seed=3)
+        np.testing.assert_allclose(trajectory, want, rtol=0, atol=1e-10)
+        for name in ref.params:
+            np.testing.assert_allclose(model.params[name], ref.params[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 def _toy_corpus():
@@ -372,6 +422,15 @@ class TestCheckpoint:
         save_checkpoint(_model(), path)
         rewrite_arrayfile(path, lambda header, blocks: header.pop(key))
         with pytest.raises(CorpusError, match=f"nokey.ckpt.*{key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dim, categories", [(3, ["a", "b"]), (4, ["a"])])
+    def test_header_the_encoder_rejects(self, tmp_path, dim, categories):
+        path = tmp_path / "odd.ckpt"
+        header = {"dim": dim, "vocab_size": 5, "categories": categories}
+        arrays = [(name, dtype, np.zeros(shape)) for name, dtype, shape in _checkpoint_layout(header)]
+        save_arrays(path, CHECKPOINT_FORMAT, header, arrays)
+        with pytest.raises(CorpusError, match="odd.ckpt: "):
             load_checkpoint(path)
 
     def test_header_not_an_object_rejected(self, tmp_path):

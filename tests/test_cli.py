@@ -144,6 +144,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vocab}: duplicate word in vocabulary")
 
+    def test_vocab_not_utf8_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        config = _config_file(tmp_path, _synth(tmp_path, n=20))
+        assert main(["run", "--config", str(config)]) == 0
+        vocab = tmp_path / "work" / "vocab.txt"
+        lines = vocab.read_bytes().splitlines()
+        word, count = lines[-1].split(b"\t")
+        vocab.write_bytes(b"\n".join(lines[:-1] + [word + b"\xff\t" + count]) + b"\n")
+        capsys.readouterr()
+        assert main(["classify", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vocab}:{len(lines)}: not UTF-8")
+
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
         config.write_text("[1, 2]")

@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 
+from opinionsum.classifier import _CLIP_NORM, _span_of
 from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
+from opinionsum.distill import distill_loss
 
 
 def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"):
@@ -135,3 +137,74 @@ def naive_pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs,
     d_sent = grad_v[nw : nw + nx].sum(axis=0) + grad_u[-1]
     d_cat = grad_v[-1]
     return value, rows, grads, d_sent, d_cat
+
+
+def naive_forward(model, inp):
+    """Reference forward pass of one classifier input: its category
+    distribution and the intermediates naive_backward needs."""
+    ids = inp.token_ids
+    span = _span_of(inp)
+    e, q, k, v, att, h = model._attend(ids)
+    pooled = h[span[0] : span[1]].mean(axis=0)
+    cache = {"ids": ids, "span": span, "e": e, "q": q, "k": k, "v": v, "att": att, "h": h, "pooled": pooled}
+    return model._head(pooled), cache
+
+
+def naive_backward(model, d_logits, cache, grads):
+    """Accumulate one item's parameter gradients into grads, given
+    d(loss)/d(logits)."""
+    p = model.params
+    span = cache["span"]
+    e, q, k, v, att = cache["e"], cache["q"], cache["k"], cache["v"], cache["att"]
+    grads["wo"] += np.outer(cache["pooled"], d_logits)
+    grads["bo"] += d_logits
+    d_pooled = p["wo"] @ d_logits
+    d_h = np.zeros_like(e)
+    d_h[span[0] : span[1]] = d_pooled / (span[1] - span[0])
+    d_att = d_h @ v.T
+    d_v = att.T @ d_h
+    # softmax backward, rows independent
+    d_scores = att * (d_att - np.sum(d_att * att, axis=1, keepdims=True))
+    d_scores /= np.sqrt(model.dim)
+    d_q = d_scores @ k
+    d_k = d_scores.T @ q
+    d_e = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
+    grads["wq"] += e.T @ d_q
+    grads["wk"] += e.T @ d_k
+    grads["wv"] += e.T @ d_v
+    np.add.at(grads["emb"], cache["ids"], d_e)
+
+
+def naive_batch_loss_and_grads(model, items):
+    """Reference for classifier.batch_loss_and_grads on a list of
+    (input, target) items, same returns: one forward and one backward pass
+    per item."""
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    total = 0.0
+    inv = 1.0 / len(items)
+    for inp, target in items:
+        y, cache = naive_forward(model, inp)
+        total += distill_loss(target, y)
+        naive_backward(model, (y - np.asarray(target)) * inv, cache, grads)
+    return total * inv, grads
+
+
+def naive_fit(model, items, config, seed):
+    """Reference for classifier._fit, same arguments and returns: shuffled
+    minibatches through naive_batch_loss_and_grads, the global gradient norm
+    clipped array by array, and each parameter stepped on its own."""
+    rng = np.random.default_rng(seed)
+    trajectory = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), config.batch_size):
+            batch = [items[i] for i in order[start : start + config.batch_size]]
+            loss, grads = naive_batch_loss_and_grads(model, batch)
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if norm > _CLIP_NORM:
+                for g in grads.values():
+                    g *= _CLIP_NORM / norm
+            for name, g in grads.items():
+                model.params[name] -= config.learning_rate * g
+            trajectory.append(float(loss))
+    return trajectory
