@@ -10,6 +10,7 @@ and pools all of its phrase spans from that pass (`encode_spans`); the
 pooled vectors are the clustering space.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -68,18 +69,12 @@ def token_ids(vocab: Vocabulary, surfaces: list[str]) -> np.ndarray:
     return np.asarray([unk if i is None else i for i in ids], dtype=np.intp)
 
 
-_POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _positions(n: int, dim: int) -> np.ndarray:
-    got = _POS_CACHE.get((n, dim))
-    if got is None:
-        pos = np.arange(n)[:, None]
-        i = np.arange(dim)[None, :]
-        angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-        got = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-        _POS_CACHE[(n, dim)] = got
-    return got
+    pos = np.arange(n)[:, None]
+    i = np.arange(dim)[None, :]
+    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ _CONFIG_FLAGS = (
     ("--batch-size", ("train", "batch_size"), {"type": int}),
     ("--train-epochs", ("train", "epochs"), {"type": int}),
     ("--tc", ("cluster", "threshold"), {"type": float, "help": "clustering distance threshold"}),
-    ("--linkage", ("cluster", "linkage"), {"choices": ["complete", "average", "single"]}),
 )
 
 

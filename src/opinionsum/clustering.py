@@ -1,10 +1,11 @@
-"""Threshold-bounded agglomerative clustering of classified phrases.
+"""Threshold-bounded complete-linkage clustering of classified phrases.
 
 Within each (aspect, sentiment) group of a target, phrases start as
 singletons and the closest pair of clusters merges repeatedly until the
-minimal linkage distance exceeds the threshold.  With complete linkage the
-stopping rule guarantees every intra-cluster pairwise Euclidean distance
-stays within the threshold.
+minimal complete-linkage distance (the largest pairwise distance between
+the two clusters) exceeds the threshold.  The stopping rule therefore
+guarantees every intra-cluster pairwise Euclidean distance stays within the
+threshold: the threshold bounds each cluster's diameter.
 
 The merge order does not depend on the threshold, so the work splits in two:
 `merge_sequence` records every merge of a group once, and a cut applies the
@@ -15,32 +16,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LINKAGES = ("complete", "average", "single")
-
 
 @dataclass
 class ClusterConfig:
     threshold: float = 7.0
-    linkage: str = "complete"
 
     def validate(self):
         if not self.threshold > 0:  # also rejects NaN
             raise ValueError("threshold must be positive")
-        if self.linkage not in _LINKAGES:
-            raise ValueError(f"linkage must be one of {_LINKAGES}")
 
 
-def merge_sequence(vecs: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
-    """Every greedy merge of the rows of vecs (finite, one point per row), in
-    the order they happen: (i, j, distance) folds cluster j into cluster i < j.
+def merge_sequence(vecs: np.ndarray) -> list[tuple[int, int, float]]:
+    """Every greedy complete-linkage merge of the rows of vecs (finite, one
+    point per row), in the order they happen: (i, j, distance) folds cluster j
+    into cluster i < j.
 
-    Euclidean base metric; the linkage matrix is updated in place on merge
-    (max/min for complete/single reproduce a from-scratch recomputation
-    bit-for-bit; average uses the size-weighted update).  A cluster is named
-    by its smallest row, and distance ties break on the first minimum in
-    row-major order, which is the pair of smallest such names.  Runs until one
-    cluster is left or no pair is at a finite distance.  Memory beyond the
-    input is the n x n linkage matrix.
+    Euclidean base metric.  On a merge the merged cluster's row of the
+    linkage matrix becomes the elementwise max of its two rows: no arithmetic,
+    so it equals a from-scratch recomputation bit-for-bit, and the distances
+    come out in non-decreasing order.  A cluster is named by its smallest row,
+    and distance ties break on the first minimum in row-major order, which is
+    the pair of smallest such names.  Runs until one cluster is left or no
+    pair is at a finite distance.  Memory beyond the input is the n x n
+    linkage matrix.
     """
     n = len(vecs)
     link = np.empty((n, n))
@@ -52,7 +50,6 @@ def merge_sequence(vecs: np.ndarray, linkage: str) -> list[tuple[int, int, float
     # Invariant: each merge folds j into i < j, so the row of an active
     # cluster is its smallest member and the first minimum in row-major order
     # is the smallest pair, with i < j.
-    sizes = np.ones(n)
     merges = []
     for _ in range(n - 1):
         i, j = divmod(int(np.argmin(link)), n)
@@ -60,18 +57,12 @@ def merge_sequence(vecs: np.ndarray, linkage: str) -> list[tuple[int, int, float
         if d == np.inf:
             break
         merges.append((i, j, d))
-        if linkage == "complete":
-            row = np.maximum(link[i], link[j])
-        elif linkage == "single":
-            row = np.minimum(link[i], link[j])
-        else:
-            row = (sizes[i] * link[i] + sizes[j] * link[j]) / (sizes[i] + sizes[j])
+        row = np.maximum(link[i], link[j])
         row[i] = np.inf
         link[i, :] = row
         link[:, i] = row
         link[j, :] = np.inf
         link[:, j] = np.inf
-        sizes[i] += sizes[j]
     return merges
 
 
@@ -120,7 +111,7 @@ def agglomerate(points: list[tuple[str, np.ndarray]], config: ClusterConfig) -> 
     if not points:
         return []
     ids, vecs = sorted_points(points)
-    return _cut(ids, merge_sequence(vecs, config.linkage), config.threshold)
+    return _cut(ids, merge_sequence(vecs), config.threshold)
 
 
 def build_summary(groups: dict, threshold: float) -> dict[tuple[str, str], list[list[str]]]:

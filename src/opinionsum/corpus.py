@@ -152,9 +152,6 @@ class Vocabulary:
     def id_of(self, word: str) -> int | None:
         return self._ids.get(word.casefold())
 
-    def word_of(self, idx: int) -> str:
-        return self.words[idx][0]
-
     def save(self, path):
         lines = [f"min_count {self.min_count}"]
         lines += [f"{w}\t{c}" for w, c in self.words]
@@ -162,12 +159,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        data = Path(path).read_bytes()
         with _located(path):
-            try:
-                lines = data.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"not UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1) from None
+            lines = _read_text(path).splitlines()
             if not lines or not lines[0].startswith("min_count "):
                 raise CorpusError("missing min_count header")
             try:
@@ -186,7 +179,7 @@ class Vocabulary:
             return cls(words, min_count)
 
 
-def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
+def parse_conllu(text: str) -> list[Sentence]:
     """Parse CoNLL-U text into sentences.
 
     Sentence/review/target ids come from '# sent_id = ...' style comments;
@@ -195,7 +188,6 @@ def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
     "r0"/"t0").  XPOS is preferred over UPOS for the POS tag.  Multiword-token
     and empty-node lines are skipped.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
     sentences: list[Sentence] = []
     seen_ids: set[str] = set()
     meta: dict[str, str] = {}
@@ -228,8 +220,7 @@ def parse_conllu(stream: str | Iterable[str]) -> list[Sentence]:
         meta.clear()
         rows.clear()
 
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             flush()
             continue
@@ -392,16 +383,24 @@ def _located(path):
         raise CorpusError(f"{where}: {exc.message}") from None
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of path; a byte that is not UTF-8 raises a CorpusError
+    with its line, for _located(path) to name."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"not UTF-8 ({exc.reason})", data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def load_corpus(conllu_path, trees_path=None) -> list[Sentence]:
     """Parse a CoNLL-U file and attach its trees; a CorpusError names the
     file and, when known, the line."""
-    text = Path(conllu_path).read_text(encoding="utf-8")
     with _located(conllu_path):
-        sentences = parse_conllu(text)
+        sentences = parse_conllu(_read_text(conllu_path))
     if trees_path is not None:
-        tree_lines = Path(trees_path).read_text(encoding="utf-8").splitlines()
         with _located(trees_path):
-            attach_trees(sentences, tree_lines)
+            attach_trees(sentences, _read_text(trees_path).splitlines())
     return sentences
 
 
@@ -421,12 +420,10 @@ def build_vocab(corpus: list[Sentence], min_count: int = 1, keep: Iterable[str] 
     return Vocabulary(entries, min_count)
 
 
-def parse_schema(lines: str | Iterable[str], kind: str) -> CategorySchema:
+def parse_schema(text: str, kind: str) -> CategorySchema:
     """Parse `name: kw1 kw2 ...` lines into a schema; '#' lines are comments."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
     categories = []
-    for line_no, raw in enumerate(lines, 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -438,9 +435,8 @@ def parse_schema(lines: str | Iterable[str], kind: str) -> CategorySchema:
 
 
 def load_schema(path, kind: str) -> CategorySchema:
-    text = Path(path).read_text(encoding="utf-8")
     with _located(path):
-        return parse_schema(text, kind)
+        return parse_schema(_read_text(path), kind)
 
 
 def sentence_to_json(sentence: Sentence) -> str:

@@ -388,9 +388,8 @@ class SphereTrainer:
         )
         return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
-    def run(self, epochs: int | None = None, norm_check: bool = False) -> list[TrainStats]:
-        n = self.config.epochs if epochs is None else epochs
-        return [self.train_epoch(norm_check=norm_check) for _ in range(n)]
+    def run(self, norm_check: bool = False) -> list[TrainStats]:
+        return [self.train_epoch(norm_check=norm_check) for _ in range(self.config.epochs)]
 
 
 def sentence_scores(space: SphereSpace, sentence_id: str) -> np.ndarray:

@@ -332,7 +332,7 @@ def _run_cluster(cfg: PipelineConfig):
     lines = []
     for target, aspect, sentiment in sorted(groups):
         members, vecs = sorted_points(groups[target, aspect, sentiment])
-        merges = merge_sequence(vecs, cfg.cluster.linkage)
+        merges = merge_sequence(vecs)
         row = {"target_id": target, "aspect": aspect, "sentiment": sentiment, "members": members, "merges": merges}
         lines.append(json.dumps(row))
     log.info("cluster: %d groups", len(groups))
@@ -342,9 +342,11 @@ def _run_cluster(cfg: PipelineConfig):
 def _merges_row(line: str, surfaces: dict) -> dict:
     """One merges.jsonl row: known phrase ids, ascending, and their full
     merge_sequence, n - 1 merges [i, j, distance] with ints 0 <= i < j < n
-    and finite distances >= 0."""
+    and finite distances >= 0 that never decrease, as _cut stops at the first
+    distance above the threshold."""
     row = json.loads(line)
     members, merges = row["members"], row["merges"]
+    last = 0.0  # the previous merge's distance
     if not (
         all(type(s) is str for s in (row["target_id"], row["aspect"], row["sentiment"], *members))
         and members == sorted(set(members))
@@ -355,13 +357,13 @@ def _merges_row(line: str, surfaces: dict) -> dict:
             and type(m[0]) is type(m[1]) is int
             and 0 <= m[0] < m[1] < len(members)
             and type(m[2]) is float
-            and 0 <= m[2] < math.inf
+            and last <= (last := m[2]) < math.inf
             for m in merges
         )
     ):
         raise ValueError(
             "expected {target_id, aspect, sentiment, members, merges} with known phrase ids ascending "
-            "and n - 1 merges [i, j, distance], 0 <= i < j < n, finite distance >= 0"
+            "and n - 1 merges [i, j, distance], 0 <= i < j < n, finite distances >= 0 in non-decreasing order"
         )
     return row
 
@@ -458,7 +460,7 @@ STAGES = (
     _Stage(
         "cluster",
         ("merges.jsonl",),
-        lambda c: {"linkage": c.cluster.linkage},
+        lambda c: {},
         _run_cluster,
     ),
     _Stage(
@@ -502,11 +504,13 @@ def _stage_hashes(cfg: PipelineConfig) -> list[str]:
     return hashes
 
 
-def _run(stage: _Stage, cfg: PipelineConfig, expected: str, last_good: str):
+def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
     """Run one stage body, then record its hash in .meta/<stage>.json.  The
     old record goes first, so a failed run leaves none.  Whatever the body
-    raises becomes a StageError, except a CorpusError, which names the
-    malformed input file itself."""
+    raises becomes a StageError naming the previous stage's last artifact,
+    except a CorpusError, which names the malformed input file itself."""
+    i = STAGES.index(stage)
+    last_good = str(_workdir(cfg) / STAGES[i - 1].artifacts[-1]) if i else "(none)"
     meta_path = _workdir(cfg) / ".meta" / f"{stage.name}.json"
     meta_path.parent.mkdir(exist_ok=True)
     meta_path.unlink(missing_ok=True)
@@ -530,15 +534,13 @@ def run_stage(cfg: PipelineConfig, name: str):
         raise ValidationError(f"unknown stage {name!r}")
     i = names.index(name)
     w = _workdir(cfg)
-    last_good = "(none)"
     if i:
         before = STAGES[i - 1]
         missing = [a for a in before.artifacts if not (w / a).exists()]
         if missing:
             raise ValidationError(f"stage {name!r} needs {missing} in {w}; run stage {before.name!r} first")
-        last_good = str(w / before.artifacts[-1])
     w.mkdir(parents=True, exist_ok=True)
-    _run(STAGES[i], cfg, _stage_hashes(cfg)[i], last_good)
+    _run(STAGES[i], cfg, _stage_hashes(cfg)[i])
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
@@ -549,7 +551,6 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
 
     report: dict[str, str] = {}
     upstream_ran = False
-    last_good = "(none)"
     for stage, expected in zip(STAGES, _stage_hashes(cfg)):
         meta_path = w / ".meta" / f"{stage.name}.json"
         fresh = False
@@ -566,8 +567,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
             log.info("stage %s: skipped (up to date)", stage.name)
         else:
             log.info("stage %s: running", stage.name)
-            _run(stage, cfg, expected, last_good)
+            _run(stage, cfg, expected)
             report[stage.name] = "ran"
             upstream_ran = True
-        last_good = str(w / stage.artifacts[-1])
     return report

@@ -265,7 +265,7 @@ def test_06_clustering_oracle_equivalence():
         n = int(rng.integers(1, 51))
         points = [(f"p{i:03d}", rng.uniform(-8, 8, size=4)) for i in range(n)]
         threshold = 7.0
-        got = agglomerate(points, ClusterConfig(threshold=threshold, linkage="complete"))
+        got = agglomerate(points, ClusterConfig(threshold=threshold))
         if got == naive_agglomerate(points, threshold, "complete"):
             matches += 1
         by_id = dict(points)

@@ -156,6 +156,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vocab}:{len(lines)}: not UTF-8")
 
+    @pytest.mark.parametrize("name", ["corpus", "trees", "aspects"])
+    def test_input_not_utf8_exits_1_naming_file_and_line(self, tmp_path, capsys, name):
+        paths = _synth(tmp_path, n=20)
+        config = _config_file(tmp_path, paths)
+        lines = paths[name].read_bytes().splitlines(keepends=True)
+        n = max(k for k, line in enumerate(lines) if line.strip())  # the last non-blank line
+        lines[n] = lines[n].rstrip(b"\n") + b"\xff\n"
+        paths[name].write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[name]}:{n + 1}: not UTF-8") and "Traceback" not in err
+
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         config = tmp_path / "list.json"
         config.write_text("[1, 2]")
@@ -230,25 +243,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unknown" in err and removed in err and str(config) in err
 
-    @pytest.mark.parametrize("section", ["embed", "train"])
-    def test_config_with_removed_seed_knob_is_unknown_key(self, tmp_path, capsys, section):
-        # the stages derive their seeds from the top-level seed; the per-section
-        # seed knob is gone
-        removed = "rng_seed"
+    @pytest.mark.parametrize(
+        "section, removed, value",
+        [("embed", "rng_seed", 5), ("train", "rng_seed", 5), ("cluster", "linkage", "complete")],
+        ids=["embed", "train", "cluster-linkage"],
+    )
+    def test_config_with_removed_seed_knob_is_unknown_key(self, tmp_path, capsys, section, removed, value):
+        # the stages derive their seeds from the top-level seed, so the
+        # per-section seed knob is gone; clustering has one linkage, complete
         paths = _synth(tmp_path, n=30)
         config = _config_file(tmp_path, paths)
         data = json.loads(config.read_text())
-        data[section][removed] = 5
+        data.setdefault(section, {})[removed] = value
         config.write_text(json.dumps(data))
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "unknown" in err and f"{section}.{removed}" in err and str(config) in err
         assert not (tmp_path / "work").exists()
 
-    def test_bad_flag_exits_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--no-such-flag"])
-        assert exc.value.code == 1
+    def test_bad_flag_exits_1(self, capsys):
+        # --linkage went with every linkage but complete
+        for flags in (["--no-such-flag"], ["--linkage", "single"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *flags])
+            assert exc.value.code == 1
+            assert flags[0] in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

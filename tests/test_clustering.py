@@ -55,36 +55,30 @@ class TestAgglomerate:
             t = float(rng.uniform(3, 20))
             config = ClusterConfig(threshold=t)
             assert agglomerate(points, config) == naive_agglomerate(points, t)
-        # Tie-free random points under every linkage; tie-heavy points under
-        # complete and single only: the reference recomputes average-linkage
-        # means, whose rounding can break an exact tie the update keeps.
-        cases = [(_points, linkage) for linkage in ("complete", "average", "single")]
-        cases += [(make, linkage) for make in (_lattice_points, _duplicate_points) for linkage in ("complete", "single")]
-        for make, linkage in cases:
+        # tie-free random points, then tie-heavy ones
+        for make in (_points, _lattice_points, _duplicate_points):
             for _ in range(15):
                 points = make(rng, int(rng.integers(2, 25)))
                 points = [points[i] for i in rng.permutation(len(points))]
                 t = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 12.0, 20.0]))
-                got = agglomerate(points, ClusterConfig(threshold=t, linkage=linkage))
-                assert got == naive_agglomerate(points, t, linkage), (make.__name__, linkage, t)
+                got = agglomerate(points, ClusterConfig(threshold=t))
+                assert got == naive_agglomerate(points, t), (make.__name__, t)
 
     def test_one_sequence_cut_at_every_threshold_matches_naive_reference(self):
         rng = np.random.default_rng(43)
         thresholds = (0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 12.0, 20.0)
-        cases = [(_points, linkage) for linkage in ("complete", "average", "single")]
-        cases += [(make, link) for make in (_lattice_points, _duplicate_points) for link in ("complete", "single")]
-        for make, linkage in cases:
+        for make in (_points, _lattice_points, _duplicate_points):
             for _ in range(15):
                 points = make(rng, int(rng.integers(2, 25)))
                 shuffled = [points[i] for i in rng.permutation(len(points))]
-                groups = _groups({("a", "s"): shuffled}, linkage)
+                groups = _groups({("a", "s"): shuffled})
                 for t in thresholds:
                     got = build_summary(groups, t)[("a", "s")]
-                    assert got == _by_size(naive_agglomerate(shuffled, t, linkage)), (make.__name__, linkage, t)
+                    assert got == _by_size(naive_agglomerate(shuffled, t)), (make.__name__, t)
 
     def test_merge_sequence_is_complete_and_ordered(self):
         points = _points(np.random.default_rng(44), 12)
-        merges = merge_sequence(np.vstack([v for _, v in points]), "complete")
+        merges = merge_sequence(np.vstack([v for _, v in points]))
         assert len(merges) == 11
         assert all(0 <= i < j < 12 and isinstance(d, float) for i, j, d in merges)
         assert [d for _, _, d in merges] == sorted(d for _, _, d in merges)  # complete linkage is monotone
@@ -145,26 +139,24 @@ class TestAgglomerate:
         assert sorted(flat) == sorted(pid for pid, _ in points)
         assert len(flat) == len(set(flat))
 
-    def test_single_linkage_chains(self):
+    def test_complete_linkage_does_not_chain(self):
+        # single linkage would chain a-b-c at 6.0; a and c are 10.0 apart
         points = [("a", np.array([0.0])), ("b", np.array([5.0])), ("c", np.array([10.0]))]
-        assert agglomerate(points, ClusterConfig(threshold=6.0, linkage="single")) == [["a", "b", "c"]]
-        assert agglomerate(points, ClusterConfig(threshold=6.0, linkage="complete")) == [["a", "b"], ["c"]]
+        assert agglomerate(points, ClusterConfig(threshold=6.0)) == [["a", "b"], ["c"]]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(threshold=0.0).validate()
-        with pytest.raises(ValueError):
-            ClusterConfig(linkage="ward").validate()
         with pytest.raises(ValueError, match="threshold"):
             ClusterConfig(threshold=float("nan")).validate()
 
 
-def _groups(points_by_key: dict, linkage: str = "complete") -> dict:
+def _groups(points_by_key: dict) -> dict:
     """{key: (ids, merge_sequence)} as the cluster stage stores each group."""
     groups = {}
     for key, points in points_by_key.items():
         ids, vecs = sorted_points(points)
-        groups[key] = (ids, merge_sequence(vecs, linkage))
+        groups[key] = (ids, merge_sequence(vecs))
     return groups
 
 

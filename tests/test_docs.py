@@ -2,10 +2,12 @@
 
 import re
 import tomllib
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import opinionsum
-from opinionsum.pipeline import STAGES
+from opinionsum.cli import _CONFIG_FLAGS
+from opinionsum.pipeline import STAGES, PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +30,28 @@ def test_readme_stage_table_matches_stages():
             artifacts = [a for cell in re.findall(r"`([^`]+)`", cells[1]) for a in _expand(cell)]
             table.append((cells[0].strip("`"), tuple(artifacts)))
     assert table == [(stage.name, stage.artifacts) for stage in STAGES]
+
+
+def test_readme_config_table_lists_every_key_and_flag():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = []  # (keys, flags) named in each row's first cell
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            names = re.findall(r"`([^`]+)`", cells[0])
+            rows.append(([n for n in names if not n.startswith("--")], [n for n in names if n.startswith("--")]))
+    keys = [key for row_keys, _ in rows for key in row_keys]
+    config_keys = [
+        f"{f.name}.{g.name}" if is_dataclass(f.type) else f.name
+        for f in fields(PipelineConfig)
+        for g in (fields(f.type) if is_dataclass(f.type) else [f])
+    ]
+    assert sorted(keys) == sorted(config_keys)
+    flags_of = {key: flags for row_keys, flags in rows for key in row_keys}
+    for flag, path, _ in _CONFIG_FLAGS:
+        assert flag in flags_of[".".join(path)], flag
+    assert sorted(f for _, flags in rows for f in flags) == sorted(flag for flag, _, _ in _CONFIG_FLAGS)
 
 
 def test_pyproject_version_matches_package():
