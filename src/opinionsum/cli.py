@@ -118,7 +118,6 @@ def _cmd_run(args) -> int:
 def _cmd_stage(name):
     def handler(args) -> int:
         cfg = build_config(args)
-        cfg.validate()
         run_stage(cfg, name)
         print(f"{name}: done")
         return 0
@@ -128,7 +127,6 @@ def _cmd_stage(name):
 
 def _cmd_summarize(args) -> int:
     cfg = build_config(args)
-    cfg.validate()
     run_stage(cfg, "summarize")
     if args.target:
         summary = json.loads((Path(cfg.workdir) / "summary.json").read_text())

@@ -36,15 +36,17 @@ def merge_sequence(vecs: np.ndarray) -> list[tuple[int, int, float]]:
     so it equals a from-scratch recomputation bit-for-bit, and the distances
     come out in non-decreasing order.  A cluster is named by its smallest row,
     and distance ties break on the first minimum in row-major order, which is
-    the pair of smallest such names.  Runs until one cluster is left or no
-    pair is at a finite distance.  Memory beyond the input is the n x n
-    linkage matrix.
+    the pair of smallest such names.  Returns all n - 1 merges; a pairwise
+    distance that overflows to inf raises a ValueError.  Memory beyond the
+    input is the n x n linkage matrix.
     """
     n = len(vecs)
     link = np.empty((n, n))
     for a in range(n):
         diff = vecs[a] - vecs
         link[a] = np.sqrt(np.sum(diff * diff, axis=1))
+        if not np.isfinite(link[a]).all():
+            raise ValueError(f"row {a}: a pairwise distance is not finite")
     np.fill_diagonal(link, np.inf)
 
     # Invariant: each merge folds j into i < j, so the row of an active
@@ -53,10 +55,7 @@ def merge_sequence(vecs: np.ndarray) -> list[tuple[int, int, float]]:
     merges = []
     for _ in range(n - 1):
         i, j = divmod(int(np.argmin(link)), n)
-        d = float(link[i, j])
-        if d == np.inf:
-            break
-        merges.append((i, j, d))
+        merges.append((i, j, float(link[i, j])))
         row = np.maximum(link[i], link[j])
         row[i] = np.inf
         link[i, :] = row

@@ -440,13 +440,12 @@ def load_schema(path, kind: str) -> CategorySchema:
 
 
 def sentence_to_json(sentence: Sentence) -> str:
+    """A corpus.jsonl row: ids and [surface, pos] tokens; the parse stays in extract."""
     obj = {
         "id": sentence.id,
         "target_id": sentence.target_id,
         "review_id": sentence.review_id,
         "tokens": [[t.surface, t.pos] for t in sentence.tokens],
-        "deps": [[a.head, a.dependent, a.relation] for a in sentence.deps],
-        "tree": sentence.tree.to_bracketed() if sentence.tree else None,
     }
     return json.dumps(obj, sort_keys=True)
 
@@ -454,12 +453,12 @@ def sentence_to_json(sentence: Sentence) -> str:
 def sentence_from_json(line: str) -> Sentence:
     obj = json.loads(line)
     tokens = [Token(i, s, p) for i, (s, p) in enumerate(obj["tokens"])]
-    deps = [DepArc(h, d, r) for h, d, r in obj["deps"]]
-    tree = parse_bracketed_tree(obj["tree"]) if obj.get("tree") else None
-    return Sentence(obj["id"], obj["target_id"], obj["review_id"], tokens, deps, tree)
+    return Sentence(obj["id"], obj["target_id"], obj["review_id"], tokens, [])
 
 
 def load_manifest(path) -> list[Sentence]:
+    """The sentences of a corpus.jsonl, without their parse: deps == [] and
+    tree is None, as only extract, which reads the corpus itself, uses them."""
     return read_jsonl(path, sentence_from_json)
 
 

@@ -52,7 +52,7 @@ from .distill import (
     pseudo_sentence_labels,
 )
 from .embedding import EmbedConfig, SphereTrainer, init_space, load_space, phrase_similarity, save_space
-from .extraction import extract_candidates, phrase_from_json, phrase_to_json
+from .extraction import Phrase, extract_candidates, phrase_from_json, phrase_to_json
 
 log = logging.getLogger("opinionsum")
 
@@ -248,9 +248,26 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
     return f"train-classifier[{kind}]: {model.parameter_count()} parameters, {_batches_note(trajectory)}"
 
 
+def _phrase_row(line: str, sentences: dict) -> Phrase:
+    """One phrases.jsonl row: a known sentence_id and int indices that
+    strictly ascend inside [0, n) for that sentence's n tokens."""
+    phrase = phrase_from_json(line)
+    idx = phrase.token_indices
+    if not (
+        phrase.sentence_id in sentences
+        and idx
+        and all(type(i) is int for i in idx)
+        and 0 <= idx[0]
+        and all(a < b for a, b in zip(idx, idx[1:]))
+        and idx[-1] < len(sentences[phrase.sentence_id].tokens)
+    ):
+        raise ValueError("expected a known sentence_id and int indices strictly ascending in [0, n_tokens)")
+    return phrase
+
+
 def _phrase_inputs(w: Path):
     sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
-    phrases = read_jsonl(w / "phrases.jsonl", phrase_from_json)
+    phrases = read_jsonl(w / "phrases.jsonl", lambda line: _phrase_row(line, sentences))
     return sentences, phrases, Vocabulary.load(w / "vocab.txt")
 
 
@@ -532,6 +549,7 @@ def run_stage(cfg: PipelineConfig, name: str):
     names = [stage.name for stage in STAGES]
     if name not in names:
         raise ValidationError(f"unknown stage {name!r}")
+    cfg.validate()
     i = names.index(name)
     w = _workdir(cfg)
     if i:

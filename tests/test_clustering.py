@@ -84,6 +84,14 @@ class TestAgglomerate:
         assert [d for _, _, d in merges] == sorted(d for _, _, d in merges)  # complete linkage is monotone
         assert len({j for _, j, _ in merges}) == 11  # each cluster is folded away once
 
+    def test_overflowing_distance_raises(self):
+        """Finite points whose distance overflows cannot silently stop the merges."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            merge_sequence(np.array([[0.0], [1e200]]))
+        points = [("a", np.array([0.0])), ("b", np.array([1e200]))]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            agglomerate(points, ClusterConfig(threshold=1e300))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected_by_id(self, bad):
         points = [("a", np.array([0.0])), ("b", np.array([bad])), ("c", np.array([1.0]))]

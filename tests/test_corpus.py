@@ -100,8 +100,12 @@ class TestParseConllu:
         assert again == sentences
 
     def test_json_roundtrip(self):
+        """A manifest row keeps ids and tokens; the parse stays with extract."""
         s = parse_conllu(SIMPLE)[0]
-        assert sentence_from_json(sentence_to_json(s)) == s
+        s.tree = parse_bracketed_tree("(NP (DT the) (JJ great) (NN pizza))")
+        back = sentence_from_json(sentence_to_json(s))
+        assert (back.id, back.review_id, back.target_id, back.tokens) == (s.id, s.review_id, s.target_id, s.tokens)
+        assert back.deps == [] and back.tree is None
 
 
 class TestParseBracketedTree:

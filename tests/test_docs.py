@@ -1,6 +1,7 @@
 """The README and packaging metadata agree with the code."""
 
 import re
+from fnmatch import fnmatchcase
 import tomllib
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -30,6 +31,14 @@ def test_readme_stage_table_matches_stages():
             artifacts = [a for cell in re.findall(r"`([^`]+)`", cells[1]) for a in _expand(cell)]
             table.append((cells[0].strip("`"), tuple(artifacts)))
     assert table == [(stage.name, stage.artifacts) for stage in STAGES]
+
+
+def test_readme_file_formats_name_every_artifact():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    named = [name for cell in re.findall(r"`([^`]+)`", section) for name in _expand(cell)]
+    missing = [a for stage in STAGES for a in stage.artifacts if not any(fnmatchcase(a, name) for name in named)]
+    assert missing == []
 
 
 def test_readme_config_table_lists_every_key_and_flag():

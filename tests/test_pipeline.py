@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opinionsum import clustering, pipeline
+from opinionsum import clustering, corpus, pipeline
 from opinionsum.arrayfile import load_arrays, save_arrays
 from opinionsum.cli import main
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
-from opinionsum.corpus import CorpusError
+from opinionsum.corpus import CorpusError, Sentence, Token
 from opinionsum.distill import DistillConfig
 from opinionsum.embedding import EmbedConfig, TrainingError
 from opinionsum.pipeline import (
@@ -102,6 +102,24 @@ class TestFullRun:
                 assert label[member]["aspect"] == row["aspect"]
                 assert label[member]["sentiment"] == row["sentiment"]
                 assert label[member]["target_id"] == row["target_id"]
+
+    def test_manifest_rows_hold_ids_and_tokens_only(self, ran):
+        cfg, _ = ran
+        rows = _read_jsonl(Path(cfg.workdir) / "corpus.jsonl")
+        assert rows and all(row.keys() == {"id", "review_id", "target_id", "tokens"} for row in rows)
+
+    def test_stages_after_extract_parse_no_tree(self, ran, tmp_path, monkeypatch):
+        def parse(text):
+            raise AssertionError("a stage after extract parsed a tree")
+
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        (w / ".meta" / "train-embed.json").unlink()  # re-run every stage after extract
+        monkeypatch.setattr(corpus, "parse_bracketed_tree", parse)  # fork carries the patch
+        report = run_pipeline(copy)
+        assert report == {stage.name: "skipped" if stage.name == "extract" else "ran" for stage in pipeline.STAGES}
+        assert (w / "summary.json").read_bytes() == (Path(cfg.workdir) / "summary.json").read_bytes()
 
     def test_aspect_and_sentiment_models_are_independent(self, ran):
         # same machinery, two schema instances, no shared weights
@@ -365,6 +383,8 @@ class TestDamagedArtifacts:
             ("corpus.jsonl", _edit_row(lambda row: row.pop("tokens"), 2), "classify"),
             ("phrases.jsonl", _cut_last_line, "classify"),
             ("phrases.jsonl", _not_utf8_at(2), "classify"),
+            ("phrases.jsonl", _edit_row(lambda row: row.update(indices=[999]), 2), "phrase-labels"),
+            ("phrases.jsonl", _edit_row(lambda row: row.update(sentence_id="no-such-sentence"), 2), "finetune-phrases"),
             ("pseudo_sentences_aspect.jsonl", _not_json_at(2), "train-classifier"),
             ("phrase_labels_sentiment.jsonl", _edit_row(lambda row: row.pop("outcome"), 3), "finetune-phrases"),
             ("classified.jsonl", _edit_row(lambda row: row.pop("surface")), "cluster"),
@@ -386,6 +406,14 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         where = f"{artifact}:{line}: " if line else f"{artifact}: "
         assert where in err and "Traceback" not in err and "error: stage" not in err
+
+    @pytest.mark.parametrize("indices", [[], [-1], [1, 1], [2, 1], [0.5], [3]])
+    def test_phrase_row_rejects_indices_outside_the_sentence(self, indices):
+        sentences = {"s": Sentence("s", "t", "r", [Token(i, w, "NN") for i, w in enumerate(["a", "b", "c"])], [])}
+        row = {"id": "s:x", "sentence_id": "s", "surface": "a", "source": "dependency"}
+        assert pipeline._phrase_row(json.dumps({**row, "indices": [0, 2]}), sentences).token_indices == (0, 2)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            pipeline._phrase_row(json.dumps({**row, "indices": indices}), sentences)
 
 
 class TestResume:
@@ -563,6 +591,13 @@ class TestValidation:
         cfg = type(cfg)(**{**cfg.__dict__, "aspect_schema": str(tmp_path / "nope.txt")})
         with pytest.raises(ValidationError, match="aspect_schema"):
             run_pipeline(cfg)
+        assert not (tmp_path / "work").exists()
+
+    def test_run_stage_validates_before_writing(self, tmp_path):
+        cfg = _small_config(tmp_path / "data", tmp_path / "work")
+        cfg.encoder_dim = 3
+        with pytest.raises(ValidationError, match="encoder_dim"):
+            run_stage(cfg, "extract")
         assert not (tmp_path / "work").exists()
 
     def test_bad_nested_config_rejected(self, tmp_path):
