@@ -11,6 +11,7 @@ pooled vectors are the clustering space.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -53,8 +54,8 @@ class TrainConfig:
     epochs: int = 1
 
     def validate(self):
-        if not self.learning_rate > 0:  # also rejects NaN
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:

@@ -7,6 +7,7 @@ uniform when both are unconfident (Background), and dropped otherwise.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,20 @@ class DistillConfig:
     def validate(self):
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if not self.alpha > 0:  # also rejects NaN
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:  # also rejects NaN
+            raise ValueError("alpha must be positive and finite")
         for name in ("theta1", "theta2"):
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
+
+
+def _finite(values) -> np.ndarray:
+    """A stored distribution as an array; JSON reads NaN and Infinity too."""
+    dist = np.asarray(values, dtype=float)
+    if not np.isfinite(dist).all():
+        raise ValueError(f"distribution must be finite, got {values!r}")
+    return dist
 
 
 @dataclass
@@ -50,7 +59,7 @@ class PseudoSentenceLabel:
     @classmethod
     def from_json(cls, line: str) -> "PseudoSentenceLabel":
         obj = json.loads(line)
-        return cls(obj["id"], np.asarray(obj["distribution"]))
+        return cls(obj["id"], _finite(obj["distribution"]))
 
 
 @dataclass
@@ -80,7 +89,7 @@ class PseudoPhraseLabel:
     @classmethod
     def from_json(cls, line: str) -> "PseudoPhraseLabel":
         obj = json.loads(line)
-        dist = None if obj["distribution"] is None else np.asarray(obj["distribution"])
+        dist = None if obj["distribution"] is None else _finite(obj["distribution"])
         return cls(obj["id"], obj["outcome"], dist)
 
 

@@ -24,6 +24,7 @@ assigned to their argmax-similarity category at the start of each epoch.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .corpus import CategorySchema, Sentence, Vocabulary
 _NEG_POWER = 0.75
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+
+# Sentences whose negatives one generator call draws: the same stream as one
+# draw per sentence, with the draw's memory bounded by the block.
+_NEG_BLOCK = 64
 
 
 class TrainingError(RuntimeError):
@@ -59,8 +64,8 @@ class EmbedConfig:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:  # also rejects NaN
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 < self.m_intra < 1:
             raise ValueError("m_intra must be in (0, 1)")
         if not 0 < self.m_inter <= 2:
@@ -207,67 +212,107 @@ def loss_intra(space: SphereSpace, schema: CategorySchema) -> float:
     return _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)[0]
 
 
-def _row_positions(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of ids (all in [0, n)) ascending, and an n-long table
-    giving each one's position among them."""
-    mark = np.zeros(n, dtype=bool)
-    mark[ids] = True
-    rows = np.flatnonzero(mark)
-    pos = np.empty(n, dtype=np.intp)
-    pos[rows] = np.arange(len(rows))
-    return rows, pos
+class _Plan(NamedTuple):
+    """One sentence's index arrays, fixed for a whole training run."""
+
+    label: str  # sentence id
+    row: int  # sentence row
+    u_ids: np.ndarray  # Q, the distinct u-side words ascending, then -1 for the sentence
+    fixed: np.ndarray  # touched rows before the negatives: Q, context words, keep
+    pos_u: np.ndarray  # U row of each positive pair but (sentence, category)
+    pos_v: np.ndarray  # column word of each
+    neg_u: np.ndarray  # U row of each pair's negatives, in pair order
 
 
-def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep=_NO_ROWS):
-    """Value and gradients of the negative-sampling objective for one
-    sentence's positive pairs: word-context pairs (ww_u, ww_v), then
-    word-sentence pairs (wx_u), then the single sentence-category pair, with
-    pre-sampled negative word ids negs of shape (P, K) in that pair order.
-
-    The u side of every pair is a word of ww_u/wx_u or the sentence, so with
-    U = [W[Q]; s] over the distinct such words Q and the touched rows T (all
-    word ids given, and keep), every score is an entry of H = U @ W[T].T and
-    every gradient is read off one coefficient matrix R of H's shape: W[T]
-    gets R.T @ U and U gets R @ W[T].  A word-sentence pair (w, s) is scored
-    as H[s, w], so its w gradient arrives through R.T @ U.  Cost is
-    O(P*K + |Q| * |T| * dim), plus two length-V index tables; |T| nears P*K
-    when the vocabulary is large, so on long sentences the products grow
-    with the square of the sentence length.
-
-    Returns (value, rows, grads, d_sent, d_cat): rows are the touched word
-    ids ascending (keep included), grads their summed gradients.
-    """
-    n_words = len(word_vecs)
-    u_words = np.concatenate([ww_u, wx_u])
-    q_ids, q_pos = _row_positions(u_words, n_words)
+def _plan(label: str, row: int, ww_u, ww_v, wx_u, keep) -> _Plan:
+    """The plan of word-context pairs (ww_u, ww_v) and word-sentence pairs
+    (wx_u), with the keep ids among the touched rows.  Its index arrays are
+    int32, so a corpus's plans take no more memory than its pair lists."""
+    u_words = np.concatenate([ww_u, wx_u]).astype(np.intp)
+    q_ids = np.unique(u_words)
+    q_pos = np.searchsorted(q_ids, u_words)
     q = len(q_ids)
-    rows, t_pos = _row_positions(np.concatenate([q_ids, ww_v, negs.ravel(), keep]), n_words)
-    t = len(rows)
-    w_t = word_vecs[rows]
-    q_t = t_pos[q_ids]  # Q's rows of W[T]
-    u = np.vstack([w_t[q_t], sent_vec])
+    fixed = np.unique(np.concatenate([q_ids, ww_v, keep]))
+    pos_u = np.concatenate([q_pos[: len(ww_u)], np.full(len(wx_u), q)])
+    arrays = (np.append(q_ids, -1), fixed, pos_u, np.concatenate([ww_v, wx_u]), np.append(q_pos, q))
+    return _Plan(label, row, *(x.astype(np.int32) for x in arrays))
+
+
+def _plan_value_grads(plan: _Plan, word_vecs, sent_vec, cat_vecs, cat_row, negs, mark, pos):
+    """Value and gradients of the negative-sampling objective for one
+    sentence's positive pairs: word-context pairs, then word-sentence pairs,
+    then the single pair (sentence, cat_vecs[cat_row]), with pre-sampled
+    negative word ids negs of shape (P, K) in that pair order.
+
+    The u side of every pair is a word of Q or the sentence, so with
+    U = [W[Q]; s] and the touched rows T (the plan's fixed rows and the
+    negatives), every score is an entry of H = U @ W[T].T and every gradient
+    is read off one coefficient matrix R of H's shape: W[T] gets R.T @ U and
+    U gets R @ W[T].  A word-sentence pair (w, s) is scored as H[s, w], so
+    its w gradient arrives through R.T @ U.  Cost is O(P*K + |Q|*|T|*dim);
+    |T| nears P*K when the vocabulary is large, so on long sentences the
+    products grow with the square of the sentence length.  mark (all False,
+    and left so) and pos are scratch tables of V and V + 1 entries.
+
+    Returns (value, rows, m, g): rows are the touched word ids ascending,
+    m stacks [W[rows]; sent_vec; cat_vecs] and g holds the gradient of each
+    row of m.
+    """
+    mark[plan.fixed] = True
+    mark[negs] = True
+    rows = np.flatnonzero(mark)
+    mark[rows] = False
+    t, q = len(rows), len(plan.u_ids) - 1
+    pos[rows] = np.arange(t)
+    pos[-1] = t  # the sentence's row of m, looked up by u_ids' -1
+    m = np.concatenate((word_vecs[rows], sent_vec[None], cat_vecs))
+    w_t = m[:t]
+    u_t = pos[plan.u_ids]  # U's rows of m
+    q_t = u_t[:q]
+    u = m[u_t]
     h = u @ w_t.T  # (q + 1, t)
 
     # flat H index of every positive pair but (sentence, category), then of
     # every negative
-    u_rows = np.append(q_pos[ww_u], np.full(len(wx_u), q))
-    pos_flat = u_rows * t + t_pos[np.concatenate([ww_v, wx_u])]
-    neg_u = np.append(q_pos[u_words], q)
-    flat = np.concatenate([pos_flat, (neg_u[:, None] * t + t_pos[negs]).ravel()])
-    # signed scores: log sigmoid(z) summed over every pair and negative
+    flat = np.concatenate([plan.pos_u * t + pos[plan.pos_v], (plan.neg_u[:, None] * t + pos[negs]).ravel()])
+    n_pos = len(plan.pos_u)
+    # signed scores: log sigmoid(z) summed over every pair and negative.
+    # log sigmoid(z) = z - log1p(e^z); e^z stays finite, as z is a dot of
+    # unit vectors in training.
     z = h.ravel()[flat]
-    z[len(pos_flat) :] *= -1.0
+    z[n_pos:] *= -1.0
+    e = np.exp(z)
+    cat_vec = cat_vecs[cat_row]
     s_cat = float(sent_vec @ cat_vec)
-    value = float(-np.sum(np.logaddexp(0.0, -z)) - np.logaddexp(0.0, -s_cat))
+    e_cat = math.exp(s_cat)
+    value = float(z.sum() - np.log1p(e).sum()) + s_cat - math.log1p(e_cat)
 
-    coef = 1.0 / (1.0 + np.exp(z))  # d log sigmoid(z) / dz
-    coef[len(pos_flat) :] *= -1.0
+    coef = 1.0 / (1.0 + e)  # d log sigmoid(z) / dz
+    coef[n_pos:] *= -1.0
     r = np.bincount(flat, weights=coef, minlength=(q + 1) * t).reshape(q + 1, t)
-    grads = r.T @ u
+    g = np.zeros(m.shape)
+    np.matmul(r.T, u, out=g[:t])
     d_u = r @ w_t
-    grads[q_t] += d_u[:q]
-    a_cat = 1.0 / (1.0 + math.exp(s_cat))
-    return value, rows, grads, d_u[q] + a_cat * cat_vec, a_cat * sent_vec
+    g[q_t] += d_u[:q]
+    a_cat = 1.0 / (1.0 + e_cat)
+    g[t] = d_u[q] + a_cat * cat_vec
+    g[t + 1 + cat_row] += a_cat * sent_vec
+    return value, rows, m, g
+
+
+def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep=_NO_ROWS):
+    """_plan_value_grads on a plan of word-context pairs (ww_u, ww_v) and
+    word-sentence pairs (wx_u), with the keep ids among the touched rows.
+
+    Returns (value, rows, grads, d_sent, d_cat): rows are the touched word
+    ids ascending (keep included), grads their summed gradients.
+    """
+    n = len(word_vecs)
+    mark, pos = np.zeros(n, dtype=bool), np.empty(n + 1, dtype=np.intp)
+    plan = _plan("", 0, ww_u, ww_v, wx_u, keep)
+    value, rows, _, g = _plan_value_grads(plan, word_vecs, sent_vec, cat_vec[None], 0, negs, mark, pos)
+    t = len(rows)
+    return value, rows, g[:t], g[t], g[t + 1]
 
 
 def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +322,12 @@ def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """The rows of m scaled to unit norm."""
+    """The rows of m scaled to unit norm, in place."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
-    if np.any(norms < 1e-12):
+    if (norms < 1e-12).any():
         raise TrainingError("vector collapsed to zero norm")
-    return m / norms
+    m /= norms
+    return m
 
 
 def _max_norm_dev(table: np.ndarray) -> float:
@@ -301,8 +347,8 @@ class SphereTrainer:
     """SGD trainer; one optimizer step = one sentence's pairs + margin terms.
 
     Deterministic given the seed: sentences are visited in corpus order and
-    all sampling comes from a single generator.  Each sentence's pair indices
-    are built once here.
+    all sampling comes from a single generator.  Each sentence's plan is
+    built once here; the negatives of _NEG_BLOCK sentences are drawn at once.
     """
 
     def __init__(
@@ -321,67 +367,106 @@ class SphereTrainer:
         self.rng = np.random.default_rng(seed)
         self._kw_ids, self._kw_cats = _keyword_rows(space, schema)
 
-        # per sentence: (id, sent row, in-vocabulary word ids, window pair ids u, v)
-        self._sents: list[tuple[str, int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # The margin hinges come from one product x = C @ [C; W[kw]].T, as
+        # slack (a + s * x) - m at flat indices `at` of x: 1 - a_i.a_j -
+        # m_inter for each category pair i != j, then w.a_i - m_intra for
+        # each keyword w of category i.
+        n_cats, n_kw = len(space.cat_names), len(self._kw_ids)
+        i, j = np.nonzero(~np.eye(n_cats, dtype=bool))
+        self._pair_at = i * n_cats + j
+        width = n_cats + n_kw
+        self._hinge_at = np.concatenate([i * width + j, self._kw_cats * width + n_cats + np.arange(n_kw)])
+        sizes = [len(i), n_kw]
+        self._hinge_a = np.repeat([1.0, 0.0], sizes)
+        self._hinge_s = np.repeat([-1.0, 1.0], sizes)
+        self._hinge_m = np.repeat([space.m_inter, space.m_intra], sizes)
+
+        self._plans: list[_Plan] = []
         counts = np.zeros(len(space.words))
         for sent in corpus:
             ids = [space.word_id(t.surface) for t in sent.tokens]
             ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)
-            self._sents.append((sent.id, space.sent_row(sent.id), ids, ids[ci], ids[cj]))
+            self._plans.append(_plan(sent.id, space.sent_row(sent.id), ids[ci], ids[cj], ids, self._kw_ids))
         total = counts.sum()
         if total == 0:
             raise TrainingError("no in-vocabulary tokens in corpus")
         probs = counts**_NEG_POWER
         self._neg_cum = np.cumsum(probs / probs.sum())
         self._neg_cum[-1] = 1.0
+        # Inverse-CDF guide table: a uniform draw r in bucket floor(r * G)
+        # maps to an id in [guide[b], guide[b + 1]], reached by stepping past
+        # each cumulative probability below r.  With G a power of two, r * G
+        # and b / G are exact, so the ids equal searchsorted(cum, r).
+        self._guide_n = 1 << (4 * len(counts) - 1).bit_length()
+        self._guide = np.searchsorted(self._neg_cum, np.arange(self._guide_n + 1) / self._guide_n)
+        self._guide_steps = int(np.diff(self._guide).max())
 
     def _sample_negatives(self, n_pairs: int) -> np.ndarray:
-        k = self.config.negatives_per_positive
-        r = self.rng.random((n_pairs, k))
-        ids = np.searchsorted(self._neg_cum, r)
-        return np.minimum(ids, len(self.space.words) - 1)
+        r = self.rng.random((n_pairs, self.config.negatives_per_positive))
+        ids = self._guide[(r * self._guide_n).astype(np.intp)]
+        for _ in range(self._guide_steps):
+            ids += self._neg_cum[ids] < r
+        return ids
 
-    def _step(self, sent: tuple, cat_row: int, negs: np.ndarray, norm_check: bool) -> float:
-        label, row, ids, ww_u, ww_v = sent
+    def _step(self, plan: _Plan, cat_row: int, negs, mark, pos, norm_check: bool) -> float:
         space, lr = self.space, self.config.learning_rate
-        value, rows, grads, d_sent, d_cat = _pair_value_grads(
-            space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs,
-            self._kw_ids,
+        cats = space.cat_vecs
+        value, rows, m, g = _plan_value_grads(
+            plan, space.word_vecs, space.sent_vecs[plan.row], cats, cat_row, negs, mark, pos
         )
-        inter_v, d_cats = _inter_value_grad(space.cat_vecs, space.m_inter)
-        intra_v, kw_grads, intra_cat_grad = _intra_value_grad(
-            space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra
-        )
-        total = value + inter_v + intra_v
-        if not math.isfinite(total):
-            raise TrainingError(f"non-finite loss at sentence {label!r}")
+        t = len(rows)
+        kw_t = pos[self._kw_ids]  # keyword rows of m
+        kw_vecs = m[kw_t]
+        x = (cats @ np.concatenate((cats, kw_vecs)).T).ravel()[self._hinge_at]
+        slack = (self._hinge_a + self._hinge_s * x) - self._hinge_m
+        active = slack < 0.0
+        margin = 0.0
+        if active.any():  # scatter only active hinges: adding zeros changes no bit
+            margin = float(slack[active].sum())
+            n_pairs = len(self._pair_at)
+            hit = active[n_pairs:]
+            hit_cats = self._kw_cats[hit]
+            d_cats = np.zeros(cats.shape)
+            np.add.at(d_cats, hit_cats, kw_vecs[hit])
+            np.add.at(g, kw_t[hit], cats[hit_cats])
+            if active[:n_pairs].any():
+                close = np.zeros(len(cats) ** 2)
+                close[self._pair_at[active[:n_pairs]]] = 1.0
+                d_cats += -2.0 * (close.reshape(len(cats), -1) @ cats)
+            g[t + 1 :] += d_cats
+        if not math.isfinite(value + margin):
+            raise TrainingError(f"non-finite loss at sentence {plan.label!r}")
 
-        np.add.at(grads, np.searchsorted(rows, self._kw_ids), kw_grads)
-        space.word_vecs[rows] = _unit_rows(space.word_vecs[rows] + lr * grads)
-        space.sent_vecs[row] = _unit_rows((space.sent_vecs[row] + lr * d_sent)[None, :])
-        d_cats += intra_cat_grad
-        d_cats[cat_row] += d_cat
-        space.cat_vecs[:] = _unit_rows(space.cat_vecs + lr * d_cats)
-
+        g *= lr
+        g += m
+        new = _unit_rows(g)
+        space.word_vecs[rows] = new[:t]
+        space.sent_vecs[plan.row] = new[t]
+        cats[:] = new[t + 1 :]
         if norm_check:
-            for table in (space.word_vecs[rows], space.sent_vecs[[row]], space.cat_vecs):
-                dev = _max_norm_dev(table)
-                if not dev <= 1e-6:
-                    raise TrainingError(f"norm deviation {dev:.3g} after step at {label!r}")
+            dev = _max_norm_dev(new)
+            if not dev <= 1e-6:
+                raise TrainingError(f"norm deviation {dev:.3g} after step at {plan.label!r}")
         return value
 
     def train_epoch(self, norm_check: bool = False) -> TrainStats:
         space = self.space
         assigned = np.argmax(space.sent_vecs @ space.cat_vecs.T, axis=1)
+        mark = np.zeros(len(space.words), dtype=bool)
+        pos = np.empty(len(space.words) + 1, dtype=np.intp)
         gen_value = 0.0
         n_pairs = 0
-        for sent in self._sents:
-            _, row, ids, ww_u, _ = sent
-            negs = self._sample_negatives(len(ww_u) + len(ids) + 1)
-            gen_value += self._step(sent, int(assigned[row]), negs, norm_check)
-            n_pairs += len(negs)
+        for start in range(0, len(self._plans), _NEG_BLOCK):
+            block = self._plans[start : start + _NEG_BLOCK]
+            negs = self._sample_negatives(sum(len(plan.neg_u) for plan in block))
+            at = 0
+            for plan in block:
+                end = at + len(plan.neg_u)
+                gen_value += self._step(plan, int(assigned[plan.row]), negs[at:end], mark, pos, norm_check)
+                at = end
+            n_pairs += at
         inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
         intra_v, _, _ = _intra_value_grad(
             space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra

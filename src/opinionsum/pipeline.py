@@ -117,13 +117,11 @@ class PipelineConfig:
             raise ValidationError("min_count must be >= 1")
         if self.encoder_dim < 2 or self.encoder_dim % 2:
             raise ValidationError("encoder_dim must be even and >= 2")
-        try:
-            self.embed.validate()
-            self.distill.validate()
-            self.train.validate()
-            self.cluster.validate()
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        for section in ("embed", "distill", "train", "cluster"):
+            try:
+                getattr(self, section).validate()
+            except ValueError as exc:
+                raise ValidationError(f"{section}.{exc}") from None
 
     def schema_path(self, kind: str) -> str:
         return self.aspect_schema if kind == "aspect" else self.sentiment_schema

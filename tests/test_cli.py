@@ -230,6 +230,29 @@ class TestRun:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, flag",
+        [
+            ("embed", "learning_rate", "--embed-lr"),
+            ("train", "learning_rate", "--train-lr"),
+            ("distill", "alpha", "--alpha"),
+        ],
+    )
+    def test_infinite_value_exits_1(self, tmp_path, capsys, section, key, flag):
+        # json reads Infinity and float() reads "inf"; neither may reach a stage
+        paths = _synth(tmp_path, n=30)
+        config = _config_file(tmp_path, paths)
+        data = json.loads(config.read_text())
+        data.setdefault(section, {})[key] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(data))
+        assert "Infinity" in bad.read_text()
+        assert main(["run", "--config", str(bad)]) == 1
+        assert f"{section}.{key} must be positive and finite" in capsys.readouterr().err
+        assert main(["run", "--config", str(config), flag, "inf"]) == 1
+        assert f"{section}.{key} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
     def test_config_with_removed_thread_knob_is_unknown_key(self, tmp_path, capsys):
         # the removed per-phrase thread pool knob; spelled in parts so that a
         # search of the tree for the old name finds no live use of it

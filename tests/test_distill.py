@@ -11,6 +11,7 @@ from opinionsum.distill import (
     SOFT,
     DistillConfig,
     PseudoPhraseLabel,
+    PseudoSentenceLabel,
     distill_loss,
     joint_agreement_label,
     select_topk,
@@ -197,6 +198,13 @@ class TestJointAgreement:
             else:
                 np.testing.assert_allclose(again.distribution, label.distribution)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite_distribution(self, bad):
+        labels = (PseudoPhraseLabel.soft("a", np.array([bad, 0.3])), PseudoSentenceLabel("s", np.array([0.5, bad])))
+        for label in labels:
+            with pytest.raises(ValueError, match="finite"):
+                type(label).from_json(label.to_json())
+
 
 class TestConfig:
     def test_threshold_bounds(self):
@@ -206,4 +214,6 @@ class TestConfig:
             DistillConfig(theta2=1.0).validate()
         with pytest.raises(ValueError):
             DistillConfig(alpha=0.0).validate()
+        with pytest.raises(ValueError, match="alpha"):
+            DistillConfig(alpha=math.inf).validate()
         DistillConfig().validate()

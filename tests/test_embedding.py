@@ -26,7 +26,7 @@ from opinionsum.embedding import (
     sentence_scores,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import make_sentence, naive_pair_value_grads, naive_window_pairs, rewrite_arrayfile
+from util import make_sentence, naive_pair_value_grads, naive_train_epoch, naive_window_pairs, rewrite_arrayfile
 
 
 def _toy_vocab(words):
@@ -356,24 +356,55 @@ class TestTraining:
         for a, b in zip(with_it.run(), without.run()):
             assert a.n_pairs == b.n_pairs + 1  # only the (sentence, category) pair
 
-    def test_matches_reference_stepped_trainer(self, tmp_path, monkeypatch):
-        sentences, schema, vocab = _small_planted(tmp_path, n_sentences=60)
-        config = EmbedConfig(dim=16, epochs=2)
+    def test_matches_reference_stepped_trainer(self, tmp_path):
+        """Bit for bit against naive_train_epoch with norm checks on, over two
+        negative-draw blocks, the second one short."""
+        spec = SyntheticSpec(n_sentences=embedding._NEG_BLOCK + 37, min_sentence_len=8, max_sentence_len=16,
+                             vocab_per_category=12, n_categories=3)
+        paths = generate_synthetic(spec, 3, tmp_path)
+        sentences = load_corpus(paths["corpus"], paths["trees"])
+        aspects = load_schema(paths["aspect_schema"], "aspect")
+        sentiments = load_schema(paths["sentiment_schema"], "sentiment")
+        vocab = build_vocab(sentences, 1, keep=aspects.all_keywords() + sentiments.all_keywords())
+        unknown = make_sentence([("zzzyx", "NN"), ("qqqwv", "JJ")], sid="unknown")
+        one = make_sentence([(sentences[0].tokens[0].surface, "NN")], sid="one")
+        corpus = sentences[:40] + [unknown, one] + sentences[40:]
+        cases = (
+            (sentiments, EmbedConfig(dim=16, epochs=2)),  # some keyword hinges active
+            (aspects, EmbedConfig(dim=12, epochs=2, window=3, m_inter=2.0, m_intra=0.99)),  # every hinge active
+        )
+        for schema, config in cases:
+            ids = [s.id for s in corpus]
+            space = init_space(vocab, schema, config, ids, seed=8)
+            ref = init_space(vocab, schema, config, ids, seed=8)
+            assert loss_intra(ref, schema) < 0.0  # a keyword hinge is active at the first step
+            if config.m_inter == 2.0:
+                assert loss_inter(ref) < 0.0  # and so is every category-pair hinge
+            trainer = SphereTrainer(space, corpus, schema, config, seed=8)
+            rng = np.random.default_rng(8)
+            for _ in range(config.epochs):
+                got = trainer.train_epoch(norm_check=True)
+                want = naive_train_epoch(ref, corpus, schema, config, rng, norm_check=True)
+                assert (got.n_pairs, got.inter_loss, got.intra_loss) == (want.n_pairs, want.inter_loss, want.intra_loss)
+                assert got.gen_loss == pytest.approx(want.gen_loss, rel=1e-12)
+            for got, want in ((space.word_vecs, ref.word_vecs), (space.sent_vecs, ref.sent_vecs),
+                              (space.cat_vecs, ref.cat_vecs)):
+                assert np.array_equal(got, want)
 
-        def train():
-            space = init_space(vocab, schema, config, [s.id for s in sentences], seed=8)
-            stats = SphereTrainer(space, sentences, schema, config, seed=8).run()
-            return space, stats
-
-        space, stats = train()
-        monkeypatch.setattr(embedding, "_pair_value_grads", naive_pair_value_grads)
-        ref, ref_stats = train()
-        for a, b in zip(stats, ref_stats):
-            assert a.n_pairs == b.n_pairs
-            assert a.gen_loss == pytest.approx(b.gen_loss, rel=1e-10)
-        for got, want in ((space.word_vecs, ref.word_vecs), (space.sent_vecs, ref.sent_vecs),
-                          (space.cat_vecs, ref.cat_vecs)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    def test_negatives_match_searchsorted(self):
+        # frequent words and many rare ones: guide buckets span several ids
+        frequent = [(f"f{i}", "NN") for i in range(20)]
+        corpus = [make_sentence(frequent * 5, sid=f"s{k}") for k in range(400)]
+        corpus.append(make_sentence([(f"r{i}", "NN") for i in range(300)], sid="rare"))
+        schema = _schema(categories=(("one", ["f0"]), ("two", ["r0"])))
+        vocab = build_vocab(corpus, 1)
+        config = EmbedConfig(dim=4)
+        space = init_space(vocab, schema, config, [s.id for s in corpus])
+        trainer = SphereTrainer(space, corpus, schema, config, seed=5)
+        assert trainer._guide_steps > 1
+        r = np.random.default_rng(5).random((20_000, config.negatives_per_positive))
+        want = np.searchsorted(trainer._neg_cum, r)
+        assert np.array_equal(trainer._sample_negatives(20_000), want)
 
     def test_empty_corpus_rejected(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)

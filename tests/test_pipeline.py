@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -386,6 +387,8 @@ class TestDamagedArtifacts:
             ("phrases.jsonl", _edit_row(lambda row: row.update(indices=[999]), 2), "phrase-labels"),
             ("phrases.jsonl", _edit_row(lambda row: row.update(sentence_id="no-such-sentence"), 2), "finetune-phrases"),
             ("pseudo_sentences_aspect.jsonl", _not_json_at(2), "train-classifier"),
+            ("pseudo_sentences_sentiment.jsonl", _edit_row(lambda row: row.update(distribution=[math.inf, 0.0]), 2),
+             "train-classifier"),
             ("phrase_labels_sentiment.jsonl", _edit_row(lambda row: row.pop("outcome"), 3), "finetune-phrases"),
             ("classified.jsonl", _edit_row(lambda row: row.pop("surface")), "cluster"),
             ("classified.jsonl", _edit_row(lambda row: row.pop("surface")), "summarize"),

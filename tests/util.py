@@ -1,12 +1,23 @@
 """Shared fixture builders and reference oracles for the test suite."""
 
 import json
+import math
 
 import numpy as np
 
 from opinionsum.classifier import _CLIP_NORM, _span_of
 from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
 from opinionsum.distill import distill_loss
+from opinionsum.embedding import (
+    _NEG_POWER,
+    TrainingError,
+    TrainStats,
+    _inter_value_grad,
+    _intra_value_grad,
+    _keyword_rows,
+    _max_norm_dev,
+    _pair_value_grads,
+)
 
 
 def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"):
@@ -137,6 +148,67 @@ def naive_pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs,
     d_sent = grad_v[nw : nw + nx].sum(axis=0) + grad_u[-1]
     d_cat = grad_v[-1]
     return value, rows, grads, d_sent, d_cat
+
+
+def _naive_unit_rows(m):
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+    if np.any(norms < 1e-12):
+        raise TrainingError("vector collapsed to zero norm")
+    return m / norms
+
+
+def naive_train_epoch(space, corpus, schema, config, rng, norm_check=False):
+    """Reference for SphereTrainer.train_epoch, updating space in place: one
+    step per sentence in corpus order, drawing that sentence's negatives
+    from rng by searchsorted when it reaches it, then the margin terms from
+    _inter_value_grad and _intra_value_grad, and separate re-projections of
+    the touched words, the sentence and the categories.  The pair
+    arithmetic is embedding._pair_value_grads, which naive_pair_value_grads
+    and finite differences check."""
+    kw_ids, kw_cats = _keyword_rows(space, schema)
+    sents = []
+    counts = np.zeros(len(space.words))
+    for sent in corpus:
+        ids = [space.word_id(t.surface) for t in sent.tokens]
+        ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
+        np.add.at(counts, ids, 1.0)
+        ci, cj = naive_window_pairs(len(ids), config.window)
+        sents.append((sent.id, space.sent_row(sent.id), ids, ids[ci], ids[cj]))
+    probs = counts**_NEG_POWER
+    cum = np.cumsum(probs / probs.sum())
+    cum[-1] = 1.0
+    lr = config.learning_rate
+    assigned = np.argmax(space.sent_vecs @ space.cat_vecs.T, axis=1)
+    gen_value, n_pairs = 0.0, 0
+    for label, row, ids, ww_u, ww_v in sents:
+        r = rng.random((len(ww_u) + len(ids) + 1, config.negatives_per_positive))
+        negs = np.minimum(np.searchsorted(cum, r), len(space.words) - 1)
+        cat_row = int(assigned[row])
+        value, rows, grads, d_sent, d_cat = _pair_value_grads(
+            space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs, kw_ids
+        )
+        inter_v, d_cats = _inter_value_grad(space.cat_vecs, space.m_inter)
+        intra_v, kw_grads, intra_cat_grad = _intra_value_grad(
+            space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra
+        )
+        if not math.isfinite(value + inter_v + intra_v):
+            raise TrainingError(f"non-finite loss at sentence {label!r}")
+        np.add.at(grads, np.searchsorted(rows, kw_ids), kw_grads)
+        space.word_vecs[rows] = _naive_unit_rows(space.word_vecs[rows] + lr * grads)
+        space.sent_vecs[row] = _naive_unit_rows((space.sent_vecs[row] + lr * d_sent)[None, :])
+        d_cats += intra_cat_grad
+        d_cats[cat_row] += d_cat
+        space.cat_vecs[:] = _naive_unit_rows(space.cat_vecs + lr * d_cats)
+        if norm_check:
+            for table in (space.word_vecs[rows], space.sent_vecs[[row]], space.cat_vecs):
+                dev = _max_norm_dev(table)
+                if not dev <= 1e-6:
+                    raise TrainingError(f"norm deviation {dev:.3g} after step at {label!r}")
+        gen_value += value
+        n_pairs += len(negs)
+    inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
+    intra_v, _, _ = _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)
+    return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
 
 def naive_forward(model, inp):
