@@ -3,17 +3,18 @@
 ReferenceEncoder is a small trainable stand-in for a large pretrained
 encoder: token embeddings + sinusoidal positions, one scaled dot-product
 self-attention layer, mean-pool over the phrase span (or whole sentence),
-and a linear softmax head.  Gradients are computed analytically in numpy,
-in one forward and one backward pass per minibatch padded to its longest
-input (`batch_loss_and_grads`).  Inference attends over each sentence once
-and pools all of its phrase spans from that pass (`encode_spans`); the
-pooled vectors are the clustering space.
+and a linear softmax head.  One attention forward (`_forward`) serves
+training, over minibatches padded to their longest input with the padded
+keys masked and one analytic backward pass (`batch_loss_and_grads`), and
+inference, over stacks of sentences of one token count: stack, never pad, so
+every sum runs in the order of a one-sentence pass.  The inference head is a
+stack of vector-matrix products, which keeps the one-vector head's bits.
+The pooled vectors are the clustering space.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -107,36 +108,29 @@ class ReferenceEncoder:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def _attend(self, ids: np.ndarray):
-        """Self-attention over one token sequence: e, q, k, v, att and h."""
+    def _forward(self, ids: np.ndarray, key_mask=None):
+        """Self-attention over a (B, L) stack of token ids: x, q, k, v, att
+        and h.  key_mask (B, 1, L), if given, is -inf at padded keys."""
         p = self.params
-        e = p["emb"][ids] + _positions(len(ids), self.dim)
-        q = e @ p["wq"]
-        k = e @ p["wk"]
-        v = e @ p["wv"]
-        att = _softmax_rows(q @ k.T / np.sqrt(self.dim))
-        return e, q, k, v, att, att @ v
+        x = p["emb"][ids] + _positions(ids.shape[1], self.dim)
+        q, k, v = x @ p["wq"], x @ p["wk"], x @ p["wv"]
+        scores = q @ k.transpose(0, 2, 1) / np.sqrt(self.dim)
+        if key_mask is not None:
+            scores += key_mask
+        att = _softmax_rows(scores)
+        return x, q, k, v, att, att @ v
 
     def _head(self, pooled: np.ndarray) -> np.ndarray:
-        """Category distribution of one pooled vector."""
-        return _softmax_rows(pooled @ self.params["wo"] + self.params["bo"])
-
-    def encode_spans(self, ids, spans) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(distribution, pooled vector) of each [start, end) span of one
-        token sequence, from a single attention pass."""
-        h = self._attend(ClassifierInput(ids).token_ids)[-1]
-        out = []
-        for span in spans:
-            _check_span(span, len(h))
-            pooled = h[span[0] : span[1]].mean(axis=0)
-            out.append((self._head(pooled), pooled))
-        return out
+        """Category distribution of each row of pooled, each row its own
+        vector-matrix product, so it has the bits of a lone vector."""
+        return _softmax_rows((pooled[:, None, :] @ self.params["wo"])[:, 0] + self.params["bo"])
 
     def predict(self, inp: ClassifierInput) -> np.ndarray:
-        return self.encode_spans(inp.token_ids, [_span_of(inp)])[0][0]
+        return self._head(self.encode(inp)[None])[0]
 
     def encode(self, inp: ClassifierInput) -> np.ndarray:
-        return self.encode_spans(inp.token_ids, [_span_of(inp)])[0][1]
+        s, e = _span_of(inp)
+        return self._forward(inp.token_ids[None])[-1][0, s:e].mean(axis=0)
 
 
 def _span_of(inp: ClassifierInput) -> tuple[int, int]:
@@ -184,13 +178,9 @@ def batch_loss_and_grads(model: ReferenceEncoder, items) -> tuple[float, dict]:
     ids, weights, targets = batch.ids, batch.weights, batch.targets
     valid = np.arange(ids.shape[1]) < batch.lengths[:, None]
     p, dim = model.params, model.dim
-    x = p["emb"][ids] + _positions(ids.shape[1], dim)
-    q, k, v = x @ p["wq"], x @ p["wk"], x @ p["wv"]
-    key_mask = np.where(valid, 0.0, -np.inf)[:, None, :]
-    att = _softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(dim) + key_mask)
-    h = att @ v
+    x, q, k, v, att, h = model._forward(ids, np.where(valid, 0.0, -np.inf)[:, None, :])
     pooled = np.einsum("bl,bld->bd", weights, h)
-    y = model._head(pooled)
+    y = _softmax_rows(pooled @ p["wo"] + p["bo"])
     # distill.distill_loss per row: zero targets add nothing, y clamped at 1e-12
     pos = targets > 0
     terms = targets * np.log(np.where(pos, targets, 1.0) / np.maximum(y, 1e-12))
@@ -314,14 +304,19 @@ def phrase_input(vocab: Vocabulary, sentence: Sentence, phrase) -> ClassifierInp
 
 
 def encode_phrases(model: ReferenceEncoder, vocab: Vocabulary, sentences: dict, phrases: list):
-    """(distribution, pooled vector) per phrase, in phrase order, from one
-    encoder pass per run of consecutive phrases of one sentence (extraction
-    lists each sentence's phrases together).  `sentences` maps id to Sentence."""
-    out = []
-    for sid, run in groupby(phrases, key=lambda p: p.sentence_id):
-        ids = token_ids(vocab, [t.surface for t in sentences[sid].tokens])
-        out.extend(model.encode_spans(ids, [phrase_span(p) for p in run]))
-    return out
+    """Distributions (P, C) and pooled vectors (P, dim) of the phrases, in
+    phrase order.  The phrases' sentences are stacked by token count, one
+    attention pass per count.  `sentences` maps id to Sentence."""
+    sids = dict.fromkeys(phrase.sentence_id for phrase in phrases)
+    ids = {sid: token_ids(vocab, [t.surface for t in sentences[sid].tokens]) for sid in sids}
+    for phrase in phrases:
+        _check_span(phrase_span(phrase), len(ids[phrase.sentence_id]))
+    h = {}
+    for n in set(map(len, ids.values())):
+        stack = [sid for sid, row in ids.items() if len(row) == n]
+        h.update(zip(stack, model._forward(np.stack([ids[sid] for sid in stack]))[-1]))
+    pooled = np.array([h[p.sentence_id][slice(*phrase_span(p))].mean(axis=0) for p in phrases]).reshape(-1, model.dim)
+    return model._head(pooled), pooled
 
 
 def classify_phrase(y: np.ndarray, theta2: float, categories: list[str]) -> str | None:

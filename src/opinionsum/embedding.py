@@ -22,6 +22,7 @@ Every update is followed by re-projection onto the sphere.  Sentences are
 assigned to their argmax-similarity category at the start of each epoch.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -224,18 +225,31 @@ class _Plan(NamedTuple):
     neg_u: np.ndarray  # U row of each pair's negatives, in pair order
 
 
+def _unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) for a short array, at a third of np.unique's call cost."""
+    x = np.sort(x)
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
+
+
 def _plan(label: str, row: int, ww_u, ww_v, wx_u, keep) -> _Plan:
     """The plan of word-context pairs (ww_u, ww_v) and word-sentence pairs
     (wx_u), with the keep ids among the touched rows.  Its index arrays are
-    int32, so a corpus's plans take no more memory than its pair lists."""
-    u_words = np.concatenate([ww_u, wx_u]).astype(np.intp)
-    q_ids = np.unique(u_words)
-    q_pos = np.searchsorted(q_ids, u_words)
+    int32 views of one buffer, so a corpus's plans take no more memory than
+    its pair lists."""
+    u_words = np.concatenate([ww_u, wx_u])
+    q_ids = _unique(u_words)
+    q_pos = q_ids.searchsorted(u_words)
     q = len(q_ids)
-    fixed = np.unique(np.concatenate([q_ids, ww_v, keep]))
-    pos_u = np.concatenate([q_pos[: len(ww_u)], np.full(len(wx_u), q)])
-    arrays = (np.append(q_ids, -1), fixed, pos_u, np.concatenate([ww_v, wx_u]), np.append(q_pos, q))
-    return _Plan(label, row, *(x.astype(np.int32) for x in arrays))
+    fixed = _unique(np.concatenate([q_ids, ww_v, keep]))
+    parts = (q_ids, [-1], fixed, q_pos[: len(ww_u)], np.full(len(wx_u), q), ww_v, wx_u, q_pos, [q])
+    flat = np.concatenate(parts, dtype=np.int32, casting="unsafe")
+    a = q + 1
+    b = a + len(fixed)
+    c = b + len(u_words)
+    d = c + len(u_words)
+    return _Plan(label, row, flat[:a], flat[a:b], flat[b:c], flat[c:d], flat[d:])
 
 
 def _plan_value_grads(plan: _Plan, word_vecs, sent_vec, cat_vecs, cat_row, negs, mark, pos):
@@ -315,10 +329,14 @@ def _pair_value_grads(word_vecs, sent_vec, cat_vec, ww_u, ww_v, wx_u, negs, keep
     return value, rows, g[:t], g[t], g[t + 1]
 
 
+@functools.cache
 def _window_pairs(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (i, j) with 0 < |i - j| <= h among n tokens, row-major."""
+    """Positions (i, j) with 0 < |i - j| <= h among n tokens, row-major;
+    cached, so read-only."""
     gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return np.nonzero((gap > 0) & (gap <= h))
+    ci, cj = np.nonzero((gap > 0) & (gap <= h))
+    ci.flags.writeable = cj.flags.writeable = False
+    return ci, cj
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -383,9 +401,10 @@ class SphereTrainer:
 
         self._plans: list[_Plan] = []
         counts = np.zeros(len(space.words))
+        word_ids = space._word_ids
         for sent in corpus:
-            ids = [space.word_id(t.surface) for t in sent.tokens]
-            ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
+            ids = [word_ids.get(t.surface.casefold()) for t in sent.tokens]
+            ids = np.array([i for i in ids if i is not None], dtype=np.intp)
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)
             self._plans.append(_plan(sent.id, space.sent_row(sent.id), ids[ci], ids[cj], ids, self._kw_ids))
@@ -482,15 +501,19 @@ def sentence_scores(space: SphereSpace, sentence_id: str) -> np.ndarray:
     return space.sent_vecs[space.sent_row(sentence_id)] @ space.cat_vecs.T
 
 
-def phrase_similarity(space: SphereSpace, words: list[str]) -> np.ndarray:
-    """Mean of in-vocabulary word vectors (not renormalized) dotted with each
-    category.  Raises if no word is in the vocabulary."""
-    ids = [space.word_id(w) for w in words]
-    ids = [i for i in ids if i is not None]
-    if not ids:
-        raise ValueError(f"no in-vocabulary token in phrase {' '.join(words)!r}")
-    mean = space.word_vecs[ids].mean(axis=0)
-    return mean @ space.cat_vecs.T
+def phrase_similarity(space: SphereSpace, phrases: list[list[str]]) -> list[np.ndarray | None]:
+    """Per phrase (a list of words), the mean of its in-vocabulary word
+    vectors (not renormalized) dotted with each category, or None if it has
+    none.  Phrases with as many such words share one mean, and each mean is
+    its own vector-matrix product, so a row has the bits of a lone phrase."""
+    known = [[i for i in map(space.word_id, words) if i is not None] for words in phrases]
+    out = [None] * len(phrases)
+    for n in set(map(len, known)) - {0}:
+        ks = [k for k, ids in enumerate(known) if len(ids) == n]
+        means = space.word_vecs[[known[k] for k in ks]].mean(axis=1)
+        for k, sims in zip(ks, (means[:, None, :] @ space.cat_vecs.T)[:, 0]):
+            out[k] = sims
+    return out
 
 
 _SPACE_KIND = "sphere-space"

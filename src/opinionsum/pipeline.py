@@ -20,8 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .arrayfile import load_arrays, save_arrays
 from .classifier import (
     ReferenceEncoder,
@@ -275,15 +273,14 @@ def _run_phrase_labels(cfg: PipelineConfig):
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.bin")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-        labels = []
-        for phrase, (y, _) in zip(phrases, encode_phrases(model, vocab, sentences, phrases)):
-            tokens = sentences[phrase.sentence_id].tokens
-            try:
-                sim = phrase_similarity(space, [tokens[i].surface for i in phrase.token_indices])
-            except ValueError:
-                labels.append(PseudoPhraseLabel.excluded(phrase.id))  # no in-vocab token
-                continue
-            labels.append(joint_agreement_label(phrase.id, y, sim, cfg.distill))
+        ys, _ = encode_phrases(model, vocab, sentences, phrases)
+        words = [[sentences[p.sentence_id].tokens[i].surface for i in p.token_indices] for p in phrases]
+        labels = [
+            PseudoPhraseLabel.excluded(phrase.id)  # no in-vocab token
+            if sim is None
+            else joint_agreement_label(phrase.id, y, sim, cfg.distill)
+            for phrase, y, sim in zip(phrases, ys, phrase_similarity(space, words))
+        ]
         _write_lines(w / f"phrase_labels_{kind}.jsonl", [l.to_json() for l in labels])
 
 
@@ -313,12 +310,10 @@ def _run_classify(cfg: PipelineConfig):
     ]
     for kind in _KINDS:
         model = load_checkpoint(w / f"classifier_{kind}_ft.ckpt")
-        encoded = encode_phrases(model, vocab, sentences, phrases)
-        for row, (y, _) in zip(rows, encoded):
+        ys, vectors = encode_phrases(model, vocab, sentences, phrases)
+        for row, y in zip(rows, ys):
             row[kind] = classify_phrase(y, cfg.distill.theta2, model.categories)
-        if kind == "aspect":
-            # the aspect model's pooled vectors are the clustering space
-            vectors = np.array([v for _, v in encoded], dtype=np.float64).reshape(len(phrases), model.dim)
+        if kind == "aspect":  # the aspect model's pooled vectors are the clustering space
             _atomic_save(
                 w / "phrase_vectors.bin",
                 lambda p: save_arrays(p, _VECTORS_KIND, {"dim": model.dim}, [("vectors", "<f8", vectors)]),
@@ -541,22 +536,40 @@ def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
     meta_path.write_text(json.dumps({"hash": expected, "artifacts": list(stage.artifacts)}, sort_keys=True))
 
 
+def _recorded_hash(w: Path, stage: _Stage) -> str | None:
+    """The hash in the stage's .meta record, or None if there is no readable one."""
+    try:
+        recorded = json.loads((w / ".meta" / f"{stage.name}.json").read_text())
+    except (FileNotFoundError, ValueError):  # missing, not JSON, or not text
+        return None
+    return recorded.get("hash") if type(recorded) is dict else None
+
+
 def run_stage(cfg: PipelineConfig, name: str):
-    """Run a single stage over the artifacts of the stage before it, and
-    record it as run_pipeline does."""
+    """Run a single stage over the artifacts of the stages before it, and
+    record it as run_pipeline does.  Every stage before it must have run for
+    cfg: its record must hold the hash cfg gives it now, so that no stage
+    reads artifacts made from other inputs, parameters or code."""
     names = [stage.name for stage in STAGES]
     if name not in names:
         raise ValidationError(f"unknown stage {name!r}")
     cfg.validate()
     i = names.index(name)
     w = _workdir(cfg)
+    hashes = _stage_hashes(cfg)
+    for stage, expected in zip(STAGES[:i], hashes):
+        if _recorded_hash(w, stage) != expected:
+            raise ValidationError(
+                f"stage {name!r} needs stage {stage.name!r} run for this config and code, but its record in "
+                f"{w / '.meta'} is stale or missing; run it first, or use `run`"
+            )
     if i:
         before = STAGES[i - 1]
         missing = [a for a in before.artifacts if not (w / a).exists()]
         if missing:
             raise ValidationError(f"stage {name!r} needs {missing} in {w}; run stage {before.name!r} first")
     w.mkdir(parents=True, exist_ok=True)
-    _run(STAGES[i], cfg, _stage_hashes(cfg)[i])
+    _run(STAGES[i], cfg, hashes[i])
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
@@ -568,16 +581,12 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
     report: dict[str, str] = {}
     upstream_ran = False
     for stage, expected in zip(STAGES, _stage_hashes(cfg)):
-        meta_path = w / ".meta" / f"{stage.name}.json"
-        fresh = False
-        if not force and not upstream_ran and meta_path.exists():
-            try:
-                recorded = json.loads(meta_path.read_text())
-            except ValueError:  # not JSON, or not text
-                recorded = None
-            fresh = type(recorded) is dict and recorded.get("hash") == expected and all(
-                (w / a).exists() for a in stage.artifacts
-            )
+        fresh = (
+            not force
+            and not upstream_ran
+            and _recorded_hash(w, stage) == expected
+            and all((w / a).exists() for a in stage.artifacts)
+        )
         if fresh:
             report[stage.name] = "skipped"
             log.info("stage %s: skipped (up to date)", stage.name)

@@ -90,3 +90,6 @@ def test_traced_ops_account_for_their_wall_time(tiny_config):
     assert check_consistency(tracer, [cold, retuned]) == []
     metrics = layer_metrics(tracer, [cold, retuned], 16)
     assert metrics["pipeline.stages_ran"] == (len(pipeline.STAGES) + 1) / 2
+    # the per-layer metrics of the phrase-level entry points see their calls
+    calls = tracer.self_times()[1]
+    assert calls["embedding.phrase_similarity"] >= 1 and calls["classifier.classify_phrase"] >= 1

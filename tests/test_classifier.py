@@ -27,7 +27,7 @@ from opinionsum.classifier import (
 from opinionsum.corpus import CorpusError, build_vocab
 from opinionsum.distill import PseudoPhraseLabel, PseudoSentenceLabel, distill_loss
 from opinionsum.extraction import Phrase
-from util import make_sentence, naive_batch_loss_and_grads, naive_fit, rewrite_arrayfile
+from util import make_sentence, naive_batch_loss_and_grads, naive_encode_phrases, naive_fit, rewrite_arrayfile
 
 
 def _model(dim=4, vocab=7, cats=("a", "b", "c"), seed=0):
@@ -99,30 +99,61 @@ class TestForward:
             ClassifierInput(np.array([1, 2]), span=(1, 1))
 
 
+def _ragged_corpus(rng):
+    """Sentences of lengths with repeats, a one-token sentence among them,
+    words drawn from a pool; words seen once stay out of the vocabulary."""
+    pool = [f"w{i}" for i in range(30)]
+    lengths = [3, 5, 3, 1, 5, 7, 3, 12, 5, 1, 9]
+    corpus = [
+        make_sentence([(str(w), "NN") for w in rng.choice(pool, size=n)], sid=f"s{k}")
+        for k, n in enumerate(lengths)
+    ]
+    return corpus, build_vocab(corpus, 2)
+
+
+def _phrases(rng, corpus):
+    """Spans touching both ends, the whole sentence and one inner span per
+    sentence, shuffled so that one sentence's phrases are not consecutive."""
+    phrases = []
+    for sent in corpus:
+        n = len(sent.tokens)
+        s = int(rng.integers(0, n))
+        for lo, hi in {(0, 1), (n - 1, n), (0, n), (s, int(rng.integers(s + 1, n + 1)))}:
+            indices = tuple(range(lo, hi))
+            phrases.append(Phrase(f"{sent.id}:{lo}-{hi}", sent.id, indices, "x", "dependency"))
+    return [phrases[i] for i in rng.permutation(len(phrases))]
+
+
 class TestEncodeSpans:
-    SPANS = [(0, 6), (0, 1), (2, 5), (5, 6), (1, 3), (3, 4), (2, 5)]
+    """encode_phrases stacks sentences of one length; it must give the bits
+    of one attention pass per sentence and one head per phrase."""
 
     def test_matches_predict_and_encode_span_by_span(self):
-        model = _model(vocab=9, seed=11)
-        ids = np.array([3, 0, 8, 8, 1, 5])
-        got = model.encode_spans(ids, self.SPANS)
-        assert len(got) == len(self.SPANS)
-        for span, (y, pooled) in zip(self.SPANS, got):
-            inp = ClassifierInput(ids, span)
-            assert np.array_equal(y, model.predict(inp))
-            assert np.array_equal(pooled, model.encode(inp))
-        whole_y, whole_pooled = got[0]
-        assert np.array_equal(whole_y, model.predict(ClassifierInput(ids)))
-        assert np.array_equal(whole_pooled, model.encode(ClassifierInput(ids)))
+        rng = np.random.default_rng(11)
+        corpus, vocab = _ragged_corpus(rng)
+        sentences = {s.id: s for s in corpus}
+        phrases = _phrases(rng, corpus)
+        for dim, seed in [(4, 11), (8, 3), (32, 5)]:
+            model = ReferenceEncoder(len(vocab) + 1, dim, ["x", "y", "z"], rng_seed=seed)
+            ys, pooled = encode_phrases(model, vocab, sentences, phrases)
+            ref_ys, ref_pooled = naive_encode_phrases(model, vocab, sentences, phrases)
+            assert ys.shape == (len(phrases), 3) and pooled.shape == (len(phrases), dim)
+            assert np.array_equal(ys, ref_ys) and np.array_equal(pooled, ref_pooled)
+            for phrase, y, vec in zip(phrases, ys, pooled):
+                inp = phrase_input(vocab, sentences[phrase.sentence_id], phrase)
+                assert np.array_equal(model.predict(inp), y) and np.array_equal(model.encode(inp), vec)
+        assert len(vocab) < 30  # some tokens are UNK
 
     def test_out_of_bounds_span_rejected(self):
-        model = _model()
-        ids = np.array([1, 2, 3])
-        for bad in [(0, 4), (2, 2), (-1, 2), (3, 4)]:
+        corpus = _toy_corpus()
+        vocab = build_vocab(corpus, 1)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=3)
+        sentences = {s.id: s for s in corpus}
+        ok = Phrase("s0:0", "s0", (0,), "fast", "dependency")
+        for bad in [(2,), (1, 2), (-1, 0)]:
+            phrase = Phrase("s1:x", "s1", bad, "x", "dependency")
             with pytest.raises(ValueError, match="span"):
-                model.encode_spans(ids, [(0, 1), bad])
-        with pytest.raises(ValueError, match="empty"):
-            model.encode_spans(np.array([], dtype=np.intp), [])
+                encode_phrases(model, vocab, sentences, [ok, phrase])
 
     def test_encode_phrases_keeps_phrase_order_across_sentences(self):
         corpus = _toy_corpus()
@@ -136,11 +167,10 @@ class TestEncodeSpans:
         ]
         sentences = {s.id: s for s in corpus}
         got = encode_phrases(model, vocab, sentences, phrases)
-        assert len(got) == len(phrases)
-        for phrase, (y, pooled) in zip(phrases, got):
-            inp = phrase_input(vocab, sentences[phrase.sentence_id], phrase)
-            assert np.array_equal(y, model.predict(inp))
-            assert np.array_equal(pooled, model.encode(inp))
+        for part, ref in zip(got, naive_encode_phrases(model, vocab, sentences, phrases)):
+            assert np.array_equal(part, ref)
+        for part, ref in zip(encode_phrases(model, vocab, sentences, []), ((0, 2), (0, 4))):
+            assert part.shape == ref
 
 
 class TestGradients:

@@ -63,6 +63,23 @@ class TestRun:
         printed = capsys.readouterr().out
         assert '"t0"' in printed
 
+    def test_stale_upstream_record_exits_1(self, tmp_path, capsys):
+        config = _config_file(tmp_path, _synth(tmp_path))
+        w = tmp_path / "work"
+        assert main(["run", "--config", str(config)]) == 0
+        # a smaller vocabulary under checkpoints trained on the larger one
+        assert main(["extract", "--config", str(config), "--min-count", "40"]) == 0
+        labels = (w / "phrase_labels_aspect.jsonl").read_bytes()
+        capsys.readouterr()
+        for stage in ("phrase-labels", "classify"):
+            assert main([stage, "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert f"stage {stage!r} needs stage 'extract'" in err and "run it first, or use `run`" in err
+        assert (w / "phrase_labels_aspect.jsonl").read_bytes() == labels
+        # run brings every record up to date; summarize then takes a new threshold
+        assert main(["run", "--config", str(config)]) == 0
+        assert main(["summarize", "--config", str(config), "--tc", "0.5"]) == 0
+
     def test_missing_config_path_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "ghost.json")]) == 1
 

@@ -15,6 +15,7 @@ from opinionsum.embedding import (
     _inter_value_grad,
     _intra_value_grad,
     _pair_value_grads,
+    _unique,
     _window_pairs,
     check_norms,
     init_space,
@@ -26,7 +27,14 @@ from opinionsum.embedding import (
     sentence_scores,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import make_sentence, naive_pair_value_grads, naive_train_epoch, naive_window_pairs, rewrite_arrayfile
+from util import (
+    make_sentence,
+    naive_pair_value_grads,
+    naive_phrase_similarity,
+    naive_train_epoch,
+    naive_window_pairs,
+    rewrite_arrayfile,
+)
 
 
 def _toy_vocab(words):
@@ -423,6 +431,14 @@ class TestWindowPairs:
                 assert ci.tolist() == want_i and cj.tolist() == want_j, (n, h)
 
 
+def test_unique_matches_numpy():
+    rng = np.random.default_rng(4)
+    for n in [0, 1, 2, 9, 200]:
+        x = rng.integers(-1, 30, size=n)
+        got = _unique(x)
+        assert np.array_equal(got, np.unique(x)) and got.dtype == x.dtype
+
+
 class TestScores:
     def _scored_space(self):
         cats = np.eye(3)
@@ -459,13 +475,13 @@ class TestScores:
 class TestPhraseSimilarity:
     def test_single_keyword_phrase(self):
         space = _manual_space([[1.0, 0.0], [0.0, 1.0]], word_vecs=[[1.0, 0.0]], words=["alpha"])
-        sims = phrase_similarity(space, ["alpha"])
+        (sims,) = phrase_similarity(space, [["alpha"]])
         assert sims[0] == pytest.approx(1.0)
 
     def test_opposite_words_cancel(self):
         space = _manual_space([[1.0, 0.0], [0.0, 1.0]],
                               word_vecs=[[1.0, 0.0], [-1.0, 0.0]], words=["up", "down"])
-        np.testing.assert_allclose(phrase_similarity(space, ["up", "down"]), [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(phrase_similarity(space, [["up", "down"]])[0], [0.0, 0.0], atol=1e-12)
 
     def test_mean_then_dot_oracle(self):
         rng = np.random.default_rng(6)
@@ -474,16 +490,35 @@ class TestPhraseSimilarity:
         cats = rng.normal(size=(2, 5))
         cats /= np.linalg.norm(cats, axis=1, keepdims=True)
         space = _manual_space(cats, word_vecs=wv, words=["a", "b", "c"])
-        got = phrase_similarity(space, ["a", "b", "c"])
+        (got,) = phrase_similarity(space, [["a", "b", "c"]])
         mean = wv.mean(axis=0)  # not renormalized
         np.testing.assert_allclose(got, [mean @ c for c in cats], atol=1e-12)
 
     def test_oov_skipped_and_all_oov_rejected(self):
         space = _manual_space([[1.0, 0.0], [0.0, 1.0]], word_vecs=[[1.0, 0.0]], words=["alpha"])
-        got = phrase_similarity(space, ["alpha", "unknown"])
+        got, none = phrase_similarity(space, [["alpha", "unknown"], ["unknown"]])
         assert got[0] == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="no in-vocabulary"):
-            phrase_similarity(space, ["unknown"])
+        assert none is None
+        assert phrase_similarity(space, []) == []
+
+    def test_stacked_matches_per_phrase_reference(self):
+        # phrases of 1-12 known words, several per count, with unknown words
+        # mixed in and some with none known, in no particular order
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(40)]
+        wv = rng.normal(size=(40, 7))
+        wv /= np.linalg.norm(wv, axis=1, keepdims=True)
+        cats = rng.normal(size=(3, 7))
+        space = _manual_space(cats / np.linalg.norm(cats, axis=1, keepdims=True), word_vecs=wv, words=words)
+        pool = words + ["oov1", "oov2"]
+        phrases = [list(rng.choice(pool, size=int(rng.integers(1, 13)))) for _ in range(200)]
+        phrases += [["oov1"], ["oov2", "oov1"]]
+        got = phrase_similarity(space, phrases)
+        assert len(got) == len(phrases)
+        for phrase, sims in zip(phrases, got):
+            ref = naive_phrase_similarity(space, phrase)
+            assert (sims is None) == (ref is None) and (ref is None or np.array_equal(sims, ref))
+        assert sum(sims is None for sims in got) >= 2
 
 
 class TestPersistence:

@@ -67,6 +67,14 @@ def _copy(cfg, dest):
     return dataclasses.replace(cfg, workdir=str(dest))
 
 
+def _config_flags(cfg, tmp_path) -> list[str]:
+    """CLI flags for cfg: a config file holding all of it, as a stage
+    subcommand runs only over records of the same config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    return ["--config", str(path)]
+
+
 class TestFullRun:
     def test_all_stages_ran(self, ran):
         _, report = ran
@@ -262,7 +270,7 @@ class TestMergeSequences:
         w = Path(copy.workdir)
         before = _read_jsonl(w / "merges.jsonl")
         encode = pipeline.encode_phrases
-        monkeypatch.setattr(pipeline, "encode_phrases", lambda *a: [(y, 2 * v) for y, v in encode(*a)])
+        monkeypatch.setattr(pipeline, "encode_phrases", lambda *a: (encode(*a)[0], 2 * encode(*a)[1]))
         run_stage(copy, "classify")
         run_stage(copy, "cluster")
         # doubling every vector doubles every distance exactly and keeps the order
@@ -301,8 +309,7 @@ class TestMergeSequences:
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
         line = damage(Path(copy.workdir))
-        flags = ["--corpus", cfg.corpus, "--trees", cfg.trees, "--workdir", copy.workdir]
-        flags += ["--aspect-schema", cfg.aspect_schema, "--sentiment-schema", cfg.sentiment_schema]
+        flags = _config_flags(copy, tmp_path)
         capsys.readouterr()
         assert main(["summarize", *flags]) == 1
         err = capsys.readouterr().err
@@ -402,8 +409,7 @@ class TestDamagedArtifacts:
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
         line = damage(Path(copy.workdir) / artifact)
-        flags = ["--corpus", cfg.corpus, "--trees", cfg.trees, "--workdir", copy.workdir]
-        flags += ["--aspect-schema", cfg.aspect_schema, "--sentiment-schema", cfg.sentiment_schema]
+        flags = _config_flags(copy, tmp_path)
         capsys.readouterr()
         assert main([command, *flags]) == 1
         err = capsys.readouterr().err
@@ -523,6 +529,22 @@ class TestResume:
         assert (w / ".meta" / "summarize.json").read_text() == record
         run_stage(copy, "summarize")
         assert list(run_pipeline(copy).values()) == ["skipped"] * 9
+
+    def test_stage_refuses_stale_or_missing_upstream_record(self, ran, tmp_path):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        run_stage(dataclasses.replace(copy, min_count=3), "extract")
+        with pytest.raises(ValidationError, match="stage 'classify' needs stage 'extract'.*run it first, or use `run`"):
+            run_stage(copy, "classify")
+        run_pipeline(copy)
+        (w / ".meta" / "train-classifier.json").unlink()
+        record = (w / ".meta" / "phrase-labels.json").read_bytes()
+        with pytest.raises(ValidationError, match="stage 'phrase-labels' needs stage 'train-classifier'"):
+            run_stage(copy, "phrase-labels")
+        assert (w / ".meta" / "phrase-labels.json").read_bytes() == record  # refused before the stage ran
+        run_pipeline(copy)
+        run_stage(dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.05)), "summarize")
 
     @pytest.mark.parametrize("record", [b"[]", b"not json", b"\xff\xfe"])
     def test_damaged_record_reruns_its_stage(self, ran, tmp_path, record):

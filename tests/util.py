@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from opinionsum.classifier import _CLIP_NORM, _span_of
+from opinionsum.classifier import _CLIP_NORM, _positions, _softmax_rows, _span_of, phrase_span, token_ids
 from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
 from opinionsum.distill import distill_loss
 from opinionsum.embedding import (
@@ -211,15 +211,54 @@ def naive_train_epoch(space, corpus, schema, config, rng, norm_check=False):
     return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
 
+def naive_attend(model, ids):
+    """Reference self-attention over one token sequence: e, q, k, v, att
+    and h."""
+    p = model.params
+    e = p["emb"][ids] + _positions(len(ids), model.dim)
+    q = e @ p["wq"]
+    k = e @ p["wk"]
+    v = e @ p["wv"]
+    att = _softmax_rows(q @ k.T / np.sqrt(model.dim))
+    return e, q, k, v, att, att @ v
+
+
+def naive_head(model, pooled):
+    """Reference head: the category distribution of one pooled vector."""
+    return _softmax_rows(pooled @ model.params["wo"] + model.params["bo"])
+
+
 def naive_forward(model, inp):
     """Reference forward pass of one classifier input: its category
     distribution and the intermediates naive_backward needs."""
     ids = inp.token_ids
     span = _span_of(inp)
-    e, q, k, v, att, h = model._attend(ids)
+    e, q, k, v, att, h = naive_attend(model, ids)
     pooled = h[span[0] : span[1]].mean(axis=0)
     cache = {"ids": ids, "span": span, "e": e, "q": q, "k": k, "v": v, "att": att, "h": h, "pooled": pooled}
-    return model._head(pooled), cache
+    return naive_head(model, pooled), cache
+
+
+def naive_encode_phrases(model, vocab, sentences, phrases):
+    """Reference for classifier.encode_phrases, same arguments and returns:
+    one attention pass per sentence, then each phrase's span pooled and put
+    through the head on its own."""
+    hidden, ys, pooled = {}, [], []
+    for phrase in phrases:
+        sid = phrase.sentence_id
+        if sid not in hidden:
+            hidden[sid] = naive_attend(model, token_ids(vocab, [t.surface for t in sentences[sid].tokens]))[-1]
+        s, e = phrase_span(phrase)
+        pooled.append(hidden[sid][s:e].mean(axis=0))
+        ys.append(naive_head(model, pooled[-1]))
+    return np.array(ys).reshape(len(phrases), -1), np.array(pooled).reshape(len(phrases), model.dim)
+
+
+def naive_phrase_similarity(space, words):
+    """Reference for one phrase of embedding.phrase_similarity: the mean of
+    its in-vocabulary word vectors dotted with each category, or None."""
+    ids = [i for i in map(space.word_id, words) if i is not None]
+    return space.word_vecs[ids].mean(axis=0) @ space.cat_vecs.T if ids else None
 
 
 def naive_backward(model, d_logits, cache, grads):
