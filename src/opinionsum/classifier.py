@@ -23,6 +23,7 @@ from .corpus import CorpusError, Sentence, Vocabulary
 
 _CLIP_NORM = 5.0
 _PARAM_ORDER = ("emb", "wq", "wk", "wv", "wo", "bo")
+_STACK_ROWS = 512  # sentences per inference pass, which bounds its (B, L, L) arrays
 
 
 class TrainingError(RuntimeError):
@@ -306,16 +307,21 @@ def phrase_input(vocab: Vocabulary, sentence: Sentence, phrase) -> ClassifierInp
 def encode_phrases(model: ReferenceEncoder, vocab: Vocabulary, sentences: dict, phrases: list):
     """Distributions (P, C) and pooled vectors (P, dim) of the phrases, in
     phrase order.  The phrases' sentences are stacked by token count, one
-    attention pass per count.  `sentences` maps id to Sentence."""
-    sids = dict.fromkeys(phrase.sentence_id for phrase in phrases)
-    ids = {sid: token_ids(vocab, [t.surface for t in sentences[sid].tokens]) for sid in sids}
-    for phrase in phrases:
-        _check_span(phrase_span(phrase), len(ids[phrase.sentence_id]))
-    h = {}
+    attention pass per count and at most _STACK_ROWS sentences, whose spans
+    are pooled before the next pass.  `sentences` maps id to Sentence."""
+    members = {}  # sentence id -> indices of its phrases
+    for k, phrase in enumerate(phrases):
+        members.setdefault(phrase.sentence_id, []).append(k)
+    ids = {sid: token_ids(vocab, [t.surface for t in sentences[sid].tokens]) for sid in members}
+    pooled = np.zeros((len(phrases), model.dim))
     for n in set(map(len, ids.values())):
         stack = [sid for sid, row in ids.items() if len(row) == n]
-        h.update(zip(stack, model._forward(np.stack([ids[sid] for sid in stack]))[-1]))
-    pooled = np.array([h[p.sentence_id][slice(*phrase_span(p))].mean(axis=0) for p in phrases]).reshape(-1, model.dim)
+        for part in (stack[j : j + _STACK_ROWS] for j in range(0, len(stack), _STACK_ROWS)):
+            for sid, h in zip(part, model._forward(np.stack([ids[sid] for sid in part]))[-1]):
+                for k in members[sid]:
+                    span = phrase_span(phrases[k])
+                    _check_span(span, n)
+                    pooled[k] = h[slice(*span)].mean(axis=0)
     return model._head(pooled), pooled
 
 

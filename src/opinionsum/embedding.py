@@ -40,6 +40,7 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 # Sentences whose negatives one generator call draws: the same stream as one
 # draw per sentence, with the draw's memory bounded by the block.
 _NEG_BLOCK = 64
+_BLOCK_ROWS = 4096  # phrases per stacked phrase_similarity product, to bound its memory
 
 
 class TrainingError(RuntimeError):
@@ -225,31 +226,16 @@ class _Plan(NamedTuple):
     neg_u: np.ndarray  # U row of each pair's negatives, in pair order
 
 
-def _unique(x: np.ndarray) -> np.ndarray:
-    """np.unique(x) for a short array, at a third of np.unique's call cost."""
-    x = np.sort(x)
-    first = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=first[1:])
-    return x[first]
-
-
 def _plan(label: str, row: int, ww_u, ww_v, wx_u, keep) -> _Plan:
     """The plan of word-context pairs (ww_u, ww_v) and word-sentence pairs
     (wx_u), with the keep ids among the touched rows.  Its index arrays are
-    int32 views of one buffer, so a corpus's plans take no more memory than
-    its pair lists."""
-    u_words = np.concatenate([ww_u, wx_u])
-    q_ids = _unique(u_words)
-    q_pos = q_ids.searchsorted(u_words)
+    int32, so a corpus's plans take no more memory than its pair lists."""
+    q_ids, q_pos = np.unique(np.concatenate([ww_u, wx_u]), return_inverse=True)
     q = len(q_ids)
-    fixed = _unique(np.concatenate([q_ids, ww_v, keep]))
-    parts = (q_ids, [-1], fixed, q_pos[: len(ww_u)], np.full(len(wx_u), q), ww_v, wx_u, q_pos, [q])
-    flat = np.concatenate(parts, dtype=np.int32, casting="unsafe")
-    a = q + 1
-    b = a + len(fixed)
-    c = b + len(u_words)
-    d = c + len(u_words)
-    return _Plan(label, row, flat[:a], flat[a:b], flat[b:c], flat[c:d], flat[d:])
+    fixed = np.unique(np.concatenate([q_ids, ww_v, keep]))
+    pos_u = np.concatenate([q_pos[: len(ww_u)], np.full(len(wx_u), q)])
+    arrays = (np.append(q_ids, -1), fixed, pos_u, np.concatenate([ww_v, wx_u]), np.append(q_pos, q))
+    return _Plan(label, row, *(x.astype(np.int32) for x in arrays))
 
 
 def _plan_value_grads(plan: _Plan, word_vecs, sent_vec, cat_vecs, cat_row, negs, mark, pos):
@@ -401,10 +387,9 @@ class SphereTrainer:
 
         self._plans: list[_Plan] = []
         counts = np.zeros(len(space.words))
-        word_ids = space._word_ids
         for sent in corpus:
-            ids = [word_ids.get(t.surface.casefold()) for t in sent.tokens]
-            ids = np.array([i for i in ids if i is not None], dtype=np.intp)
+            ids = [space.word_id(t.surface) for t in sent.tokens]
+            ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)
             self._plans.append(_plan(sent.id, space.sent_row(sent.id), ids[ci], ids[cj], ids, self._kw_ids))
@@ -507,13 +492,13 @@ def phrase_similarity(space: SphereSpace, phrases: list[list[str]]) -> list[np.n
     none.  Phrases with as many such words share one mean, and each mean is
     its own vector-matrix product, so a row has the bits of a lone phrase."""
     known = [[i for i in map(space.word_id, words) if i is not None] for words in phrases]
-    out = [None] * len(phrases)
+    sims = {}  # phrase index -> its row
     for n in set(map(len, known)) - {0}:
-        ks = [k for k, ids in enumerate(known) if len(ids) == n]
-        means = space.word_vecs[[known[k] for k in ks]].mean(axis=1)
-        for k, sims in zip(ks, (means[:, None, :] @ space.cat_vecs.T)[:, 0]):
-            out[k] = sims
-    return out
+        group = [k for k, ids in enumerate(known) if len(ids) == n]
+        for ks in (group[j : j + _BLOCK_ROWS] for j in range(0, len(group), _BLOCK_ROWS)):
+            means = space.word_vecs[[known[k] for k in ks]].mean(axis=1)
+            sims.update(zip(ks, (means[:, None, :] @ space.cat_vecs.T)[:, 0]))
+    return [sims.get(k) for k in range(len(phrases))]
 
 
 _SPACE_KIND = "sphere-space"

@@ -273,7 +273,7 @@ def _run_phrase_labels(cfg: PipelineConfig):
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.bin")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-        ys, _ = encode_phrases(model, vocab, sentences, phrases)
+        ys = encode_phrases(model, vocab, sentences, phrases)[0]
         words = [[sentences[p.sentence_id].tokens[i].surface for i in p.token_indices] for p in phrases]
         labels = [
             PseudoPhraseLabel.excluded(phrase.id)  # no in-vocab token

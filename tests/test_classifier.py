@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from opinionsum import classifier
 from opinionsum.arrayfile import save_arrays
 from opinionsum.classifier import (
     CHECKPOINT_FORMAT,
@@ -97,6 +98,8 @@ class TestForward:
             ClassifierInput(np.array([1, 2]), span=(0, 3))
         with pytest.raises(ValueError, match="span"):
             ClassifierInput(np.array([1, 2]), span=(1, 1))
+        with pytest.raises(ValueError, match="empty"):
+            ClassifierInput(np.array([], dtype=np.intp))
 
 
 def _ragged_corpus(rng):
@@ -128,12 +131,14 @@ class TestEncodeSpans:
     """encode_phrases stacks sentences of one length; it must give the bits
     of one attention pass per sentence and one head per phrase."""
 
-    def test_matches_predict_and_encode_span_by_span(self):
+    def test_matches_predict_and_encode_span_by_span(self, monkeypatch):
         rng = np.random.default_rng(11)
         corpus, vocab = _ragged_corpus(rng)
         sentences = {s.id: s for s in corpus}
         phrases = _phrases(rng, corpus)
-        for dim, seed in [(4, 11), (8, 3), (32, 5)]:
+        # 1 or 2 sentences a pass split the repeated lengths over several passes
+        for dim, seed, stack_rows in [(4, 11, 2), (8, 3, 1), (32, 5, classifier._STACK_ROWS)]:
+            monkeypatch.setattr(classifier, "_STACK_ROWS", stack_rows)
             model = ReferenceEncoder(len(vocab) + 1, dim, ["x", "y", "z"], rng_seed=seed)
             ys, pooled = encode_phrases(model, vocab, sentences, phrases)
             ref_ys, ref_pooled = naive_encode_phrases(model, vocab, sentences, phrases)

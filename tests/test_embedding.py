@@ -15,7 +15,6 @@ from opinionsum.embedding import (
     _inter_value_grad,
     _intra_value_grad,
     _pair_value_grads,
-    _unique,
     _window_pairs,
     check_norms,
     init_space,
@@ -431,14 +430,6 @@ class TestWindowPairs:
                 assert ci.tolist() == want_i and cj.tolist() == want_j, (n, h)
 
 
-def test_unique_matches_numpy():
-    rng = np.random.default_rng(4)
-    for n in [0, 1, 2, 9, 200]:
-        x = rng.integers(-1, 30, size=n)
-        got = _unique(x)
-        assert np.array_equal(got, np.unique(x)) and got.dtype == x.dtype
-
-
 class TestScores:
     def _scored_space(self):
         cats = np.eye(3)
@@ -501,9 +492,12 @@ class TestPhraseSimilarity:
         assert none is None
         assert phrase_similarity(space, []) == []
 
-    def test_stacked_matches_per_phrase_reference(self):
+    @pytest.mark.parametrize("block_rows", [embedding._BLOCK_ROWS, 3])
+    def test_stacked_matches_per_phrase_reference(self, monkeypatch, block_rows):
         # phrases of 1-12 known words, several per count, with unknown words
-        # mixed in and some with none known, in no particular order
+        # mixed in and some with none known, in no particular order; 3 rows
+        # a block splits each count's phrases over several products
+        monkeypatch.setattr(embedding, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(8)
         words = [f"w{i}" for i in range(40)]
         wv = rng.normal(size=(40, 7))
