@@ -4,7 +4,7 @@ A file is one JSON header line, then raw arrays.  The header is an object
 with the file's "kind", the writer's own keys, and "arrays": one
 [name, dtype, shape] entry per array, in file order, with dtype "<f4" or
 "<f8".  The arrays follow as little-endian bytes, in the listed order, and
-nothing follows them.
+nothing follows them.  Every value is finite.
 """
 
 import json
@@ -30,8 +30,8 @@ def save_arrays(path, kind: str, meta: dict, arrays: list[tuple[str, str, np.nda
 def load_arrays(path, kind: str, keys: tuple[str, ...], layout) -> tuple[dict, list[np.ndarray]]:
     """The header and the float64 arrays, in file order, of a file of this
     kind.  layout(header) gives the entries the header's keys imply; another
-    layout, a missing key or arrays that do not fill the file exactly raise a
-    CorpusError naming path."""
+    layout, a missing key, arrays that do not fill the file exactly or a
+    non-finite value raise a CorpusError naming path."""
     head, _, body = Path(path).read_bytes().partition(b"\n")
     try:
         header = json.loads(head)
@@ -59,6 +59,8 @@ def load_arrays(path, kind: str, keys: tuple[str, ...], layout) -> tuple[dict, l
         if offset + size > len(body):
             raise CorpusError(f"{path}: truncated in array {name!r}")
         arrays.append(np.frombuffer(body, dtype, count, offset).reshape(shape).astype(np.float64))
+        if not np.isfinite(arrays[-1]).all():
+            raise CorpusError(f"{path}: non-finite value in array {name!r}")
         offset += size
     if offset != len(body):
         raise CorpusError(f"{path}: {len(body) - offset} trailing bytes")

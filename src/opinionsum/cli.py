@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import CorpusError, read_jsonl
@@ -51,6 +52,18 @@ _CONFIG_FLAGS = (
     ("--train-epochs", ("train", "epochs"), {"type": int}),
     ("--tc", ("cluster", "threshold"), {"type": float, "help": "clustering distance threshold"}),
 )
+
+# the synth flag of each SyntheticSpec field, which gives the flag's type and default
+_SYNTH_FLAGS = {
+    "n_categories": "--categories",
+    "vocab_per_category": "--vocab-per-category",
+    "n_sentences": "--sentences",
+    "min_sentence_len": "--min-len",
+    "max_sentence_len": "--max-len",
+    "keywords_per_category": "--keywords",
+    "noise_word_ratio": "--noise-ratio",
+    "n_targets": "--targets",
+}
 
 
 def _dest(flag: str) -> str:
@@ -115,40 +128,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_stage(name):
-    def handler(args) -> int:
-        cfg = build_config(args)
-        run_stage(cfg, name)
-        print(f"{name}: done")
-        return 0
-
-    return handler
-
-
-def _cmd_summarize(args) -> int:
+def _cmd_stage(args) -> int:
     cfg = build_config(args)
-    run_stage(cfg, "summarize")
-    if args.target:
+    run_stage(cfg, args.command)
+    target = getattr(args, "target", None)  # summarize only
+    if target:
         summary = json.loads((Path(cfg.workdir) / "summary.json").read_text())
-        if args.target not in summary:
-            raise ValidationError(f"unknown target {args.target!r}")
-        print(json.dumps({args.target: summary[args.target]}, sort_keys=True, indent=2))
+        if target not in summary:
+            raise ValidationError(f"unknown target {target!r}")
+        print(json.dumps({target: summary[target]}, sort_keys=True, indent=2))
     else:
-        print("summarize: done")
+        print(f"{args.command}: done")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_categories=args.categories,
-        vocab_per_category=args.vocab_per_category,
-        n_sentences=args.sentences,
-        min_sentence_len=args.min_len,
-        max_sentence_len=args.max_len,
-        keywords_per_category=args.keywords,
-        noise_word_ratio=args.noise_ratio,
-        n_targets=args.targets,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     seed = args.seed if args.seed is not None else _env_seed() or 0
     paths = generate_synthetic(spec, seed, args.out)
     for name, path in paths.items():
@@ -282,26 +277,17 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--force", action="store_true", help="re-run all stages")
     p_run.set_defaults(handler=_cmd_run)
 
-    for name in [s.name for s in STAGES if s.name != "summarize"]:
-        p = sub.add_parser(name, help=f"run the {name} stage")
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=f"run the {stage.name} stage")
         _add_config_flags(p)
-        p.set_defaults(handler=_cmd_stage(name))
-
-    p_sum = sub.add_parser("summarize", help="run the summarize stage")
-    _add_config_flags(p_sum)
-    p_sum.add_argument("--target", help="print one target's summary")
-    p_sum.set_defaults(handler=_cmd_summarize)
+        if stage.name == "summarize":
+            p.add_argument("--target", help="print one target's summary")
+        p.set_defaults(handler=_cmd_stage)
 
     p_synth = sub.add_parser("synth", help="generate a planted synthetic corpus")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--categories", type=int, default=2)
-    p_synth.add_argument("--vocab-per-category", dest="vocab_per_category", type=int, default=30)
-    p_synth.add_argument("--sentences", type=int, default=2000)
-    p_synth.add_argument("--min-len", dest="min_len", type=int, default=5)
-    p_synth.add_argument("--max-len", dest="max_len", type=int, default=12)
-    p_synth.add_argument("--keywords", type=int, default=4)
-    p_synth.add_argument("--noise-ratio", dest="noise_ratio", type=float, default=0.05)
-    p_synth.add_argument("--targets", type=int, default=4)
+    for f in fields(SyntheticSpec):
+        p_synth.add_argument(_SYNTH_FLAGS[f.name], dest=f.name, type=f.type, default=f.default)
     p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(handler=_cmd_synth)
 

@@ -37,11 +37,14 @@ class DistillConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
 
 
-def _finite(values) -> np.ndarray:
-    """A stored distribution as an array; JSON reads NaN and Infinity too."""
+def _distribution(values, n_categories: int) -> np.ndarray:
+    """A stored distribution as an array: n_categories finite entries >= 0
+    that sum to 1 within 1e-9 (JSON reads NaN and Infinity too)."""
     dist = np.asarray(values, dtype=float)
-    if not np.isfinite(dist).all():
-        raise ValueError(f"distribution must be finite, got {values!r}")
+    if not (dist.shape == (n_categories,) and np.isfinite(dist).all() and (dist >= 0).all()):
+        raise ValueError(f"distribution must be {n_categories} finite values >= 0, got {values!r}")
+    if abs(dist.sum() - 1.0) > 1e-9:
+        raise ValueError(f"distribution must sum to 1, got {values!r}")
     return dist
 
 
@@ -57,9 +60,9 @@ class PseudoSentenceLabel:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "PseudoSentenceLabel":
+    def from_json(cls, line: str, n_categories: int) -> "PseudoSentenceLabel":
         obj = json.loads(line)
-        return cls(obj["id"], _finite(obj["distribution"]))
+        return cls(obj["id"], _distribution(obj["distribution"], n_categories))
 
 
 @dataclass
@@ -87,10 +90,15 @@ class PseudoPhraseLabel:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "PseudoPhraseLabel":
+    def from_json(cls, line: str, n_categories: int) -> "PseudoPhraseLabel":
         obj = json.loads(line)
-        dist = None if obj["distribution"] is None else _finite(obj["distribution"])
-        return cls(obj["id"], obj["outcome"], dist)
+        outcome, dist = obj["outcome"], obj["distribution"]
+        if outcome not in (SOFT, BACKGROUND, EXCLUDED) or (dist is None) != (outcome == EXCLUDED):
+            raise ValueError(
+                "expected outcome soft, background or excluded, with a null distribution iff excluded, "
+                f"got {outcome!r} with {dist!r}"
+            )
+        return cls(obj["id"], outcome, None if dist is None else _distribution(dist, n_categories))
 
 
 def select_topk(space: SphereSpace, sentence_ids: list[str], k: int) -> list[list[str]]:

@@ -1,11 +1,14 @@
 """End-to-end pipeline: stage orchestration, artifacts, and resumability.
 
 Stages run in a fixed order, each writing its artifacts to the workdir
-atomically.  A stage is skipped on re-run when its recorded hash (own params,
-chained upstream hashes, external input digests, a digest of the package's
-sources) still matches and no upstream stage re-ran; anything downstream of a
-re-run stage re-runs too.  The three training stages train their aspect and sentiment models in two
-forked worker processes, one per schema.
+atomically.  A stage is fresh when its record holds the hash that the config
+and code give it (own params, extract's with the input digests, chained
+upstream hashes, a digest of the package's sources) and every artifact of the
+stage exists; a re-run skips a fresh stage unless an upstream stage re-ran,
+and a single stage runs only over fresh upstream stages.  The record also
+holds the metrics the stage body returns.  The three training stages train
+their aspect and sentiment models in two forked worker processes, one per
+schema.
 """
 
 import functools
@@ -186,29 +189,22 @@ def _run_extract(cfg: PipelineConfig):
     _write_lines(w / "phrases.jsonl", [phrase_to_json(p) for phrases in phrase_lists for p in phrases])
 
 
-def _per_kind(body, cfg: PipelineConfig):
-    """Run body(cfg, kind) for each kind in its own forked process, then log
-    the returned summaries in _KINDS order.
+def _per_kind(body, cfg: PipelineConfig) -> dict:
+    """Run body(cfg, kind) for each kind in its own forked process; returns
+    {kind: the body's metrics}.
 
     The kinds share no state and each seeds from its own seed_for(...), so
     the artifacts are byte-identical to running the bodies one after the
-    other.  Only cfg and the summaries are pickled; each body reads its
+    other.  Only cfg and the metrics are pickled; each body reads its
     inputs from the workdir and writes its own artifact.  fork, not spawn:
     the workers inherit the imported package instead of importing it again
     (spawn cost 0.3-1 s more per stage call), and the pool forks both workers
     before it starts its own manager thread."""
     with ProcessPoolExecutor(len(_KINDS), mp_context=multiprocessing.get_context("fork")) as pool:
-        summaries = list(pool.map(body, [cfg] * len(_KINDS), _KINDS))
-    for summary in summaries:
-        log.info("%s", summary)
+        return dict(zip(_KINDS, pool.map(body, [cfg] * len(_KINDS), _KINDS)))
 
 
-def _batches_note(trajectory) -> str:
-    last = f", last loss {trajectory[-1]:.4f}" if trajectory else ""
-    return f"{len(trajectory)} batches{last}"
-
-
-def _run_train_embed(cfg: PipelineConfig, kind: str) -> str:
+def _run_train_embed(cfg: PipelineConfig, kind: str) -> dict:
     w = _workdir(cfg)
     sentences = load_manifest(w / "corpus.jsonl")
     vocab = Vocabulary.load(w / "vocab.txt")
@@ -217,7 +213,7 @@ def _run_train_embed(cfg: PipelineConfig, kind: str) -> str:
     space = init_space(vocab, schema, cfg.embed, [s.id for s in sentences], seed)
     stats = SphereTrainer(space, sentences, schema, cfg.embed, seed).run()
     _atomic_save(w / f"embed_{kind}.bin", lambda p: save_space(space, p))
-    return f"train-embed[{kind}]: {len(stats)} epochs, final gen loss {stats[-1].gen_loss:.2f}"
+    return {"epochs": len(stats), "final_gen_loss": float(stats[-1].gen_loss)}
 
 
 def _run_pseudo_label(cfg: PipelineConfig):
@@ -228,12 +224,13 @@ def _run_pseudo_label(cfg: PipelineConfig):
         _write_lines(w / f"pseudo_sentences_{kind}.jsonl", [l.to_json() for l in labels])
 
 
-def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
+def _run_train_classifier(cfg: PipelineConfig, kind: str) -> dict:
     w = _workdir(cfg)
     sentences = load_manifest(w / "corpus.jsonl")
     vocab = Vocabulary.load(w / "vocab.txt")
     schema = load_schema(cfg.schema_path(kind), kind)
-    labels = read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", PseudoSentenceLabel.from_json)
+    n = len(schema.names)
+    labels = read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", lambda line: PseudoSentenceLabel.from_json(line, n))
     model = ReferenceEncoder(len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind))
     seed = seed_for(cfg.seed, "train", kind)
     _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
@@ -241,7 +238,7 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> str:
         w / f"classifier_{kind}.ckpt",
         lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
     )
-    return f"train-classifier[{kind}]: {model.parameter_count()} parameters, {_batches_note(trajectory)}"
+    return {"parameters": model.parameter_count(), "batches": len(trajectory), "last_loss": (trajectory or [None])[-1]}
 
 
 def _phrase_row(line: str, sentences: dict) -> Phrase:
@@ -284,16 +281,17 @@ def _run_phrase_labels(cfg: PipelineConfig):
         _write_lines(w / f"phrase_labels_{kind}.jsonl", [l.to_json() for l in labels])
 
 
-def _run_finetune(cfg: PipelineConfig, kind: str) -> str:
+def _run_finetune(cfg: PipelineConfig, kind: str) -> dict:
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
     model = load_checkpoint(w / f"classifier_{kind}.ckpt")
-    labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", PseudoPhraseLabel.from_json)
+    n = len(model.categories)  # the schema's, in its order
+    labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", lambda line: PseudoPhraseLabel.from_json(line, n))
     seed = seed_for(cfg.seed, "finetune", kind)
     by_id = {p.id: p for p in phrases}
     _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
     _atomic_save(w / f"classifier_{kind}_ft.ckpt", lambda p: save_checkpoint(model, p, seed))
-    return f"finetune[{kind}]: {_batches_note(trajectory)}"
+    return {"batches": len(trajectory), "last_loss": (trajectory or [None])[-1]}
 
 
 def _run_classify(cfg: PipelineConfig):
@@ -328,7 +326,7 @@ def _classified_row(line: str) -> dict:
     return row
 
 
-def _run_cluster(cfg: PipelineConfig):
+def _run_cluster(cfg: PipelineConfig) -> dict:
     w = _workdir(cfg)
     rows = read_jsonl(w / "classified.jsonl", _classified_row)
     # one row per line of classified.jsonl, in the same order
@@ -345,8 +343,8 @@ def _run_cluster(cfg: PipelineConfig):
         merges = merge_sequence(vecs)
         row = {"target_id": target, "aspect": aspect, "sentiment": sentiment, "members": members, "merges": merges}
         lines.append(json.dumps(row))
-    log.info("cluster: %d groups", len(groups))
     _write_lines(w / "merges.jsonl", lines)
+    return {"groups": len(groups)}
 
 
 def _merges_row(line: str, surfaces: dict) -> dict:
@@ -413,22 +411,21 @@ class _Stage:
     name: str
     artifacts: tuple[str, ...]
     params: object  # cfg -> dict
-    run: object  # cfg -> None
-    inputs: object = None  # cfg -> {config field: external path}
+    run: object  # cfg -> metrics dict or None
 
 
-def _input_paths(cfg: PipelineConfig) -> dict[str, str]:
-    """External inputs keyed by config field, so their location stays out of the hash."""
-    return {name: getattr(cfg, name) for name in _INPUT_FIELDS if getattr(cfg, name)}
+def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
+    """A digest of each external input keyed by config field, so that its
+    content is in the hash and its location is not."""
+    return {name: _file_digest(getattr(cfg, name)) for name in _INPUT_FIELDS if getattr(cfg, name)}
 
 
 STAGES = (
     _Stage(
         "extract",
         ("corpus.jsonl", "vocab.txt", "phrases.jsonl"),
-        lambda c: {"min_count": c.min_count},
+        lambda c: {"min_count": c.min_count, "inputs": _input_digests(c)},
         _run_extract,
-        _input_paths,
     ),
     _Stage(
         "train-embed",
@@ -501,31 +498,30 @@ def _source_digest() -> str:
 
 
 def _stage_hashes(cfg: PipelineConfig) -> list[str]:
-    """Each stage's chain hash for cfg: a digest of its name and params, the
-    hash of the stage before it, the package sources and the external inputs
-    it reads."""
+    """Each stage's chain hash for cfg: a digest of its name and params
+    (extract's carry the external inputs' digests), the hash of the stage
+    before it and the package sources."""
     hashes, upstream = [], ""
     for stage in STAGES:
         payload = {"stage": stage.name, "params": stage.params(cfg), "upstream": upstream, "code": _source_digest()}
-        if stage.inputs is not None:
-            payload["inputs"] = {name: _file_digest(p) for name, p in stage.inputs(cfg).items()}
         upstream = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         hashes.append(upstream)
     return hashes
 
 
 def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
-    """Run one stage body, then record its hash in .meta/<stage>.json.  The
-    old record goes first, so a failed run leaves none.  Whatever the body
-    raises becomes a StageError naming the previous stage's last artifact,
-    except a CorpusError, which names the malformed input file itself."""
+    """Run one stage body, then log the metrics it returns and record them
+    with its hash in .meta/<stage>.json.  The old record goes first, so a
+    failed run leaves none.  Whatever the body raises becomes a StageError
+    naming the previous stage's last artifact, except a CorpusError, which
+    names the malformed input file itself."""
     i = STAGES.index(stage)
     last_good = str(_workdir(cfg) / STAGES[i - 1].artifacts[-1]) if i else "(none)"
     meta_path = _workdir(cfg) / ".meta" / f"{stage.name}.json"
     meta_path.parent.mkdir(exist_ok=True)
     meta_path.unlink(missing_ok=True)
     try:
-        stage.run(cfg)
+        metrics = stage.run(cfg)
     except CorpusError:
         raise
     except Exception as exc:
@@ -533,23 +529,29 @@ def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
             stage.name,
             f"stage {stage.name!r} failed ({exc}); last good stage artifact: {last_good}",
         ) from exc
-    meta_path.write_text(json.dumps({"hash": expected, "artifacts": list(stage.artifacts)}, sort_keys=True))
+    if metrics:
+        log.info("stage %s: %s", stage.name, json.dumps(metrics, sort_keys=True))
+    record = {"hash": expected, "artifacts": list(stage.artifacts), "metrics": metrics}
+    meta_path.write_text(json.dumps(record, sort_keys=True))
 
 
-def _recorded_hash(w: Path, stage: _Stage) -> str | None:
-    """The hash in the stage's .meta record, or None if there is no readable one."""
+def _fresh(w: Path, stage: _Stage, expected: str) -> bool:
+    """Whether the stage's .meta record holds the expected hash and every
+    artifact of the stage exists."""
     try:
         recorded = json.loads((w / ".meta" / f"{stage.name}.json").read_text())
     except (FileNotFoundError, ValueError):  # missing, not JSON, or not text
-        return None
-    return recorded.get("hash") if type(recorded) is dict else None
+        return False
+    if type(recorded) is not dict or recorded.get("hash") != expected:
+        return False
+    return all((w / a).exists() for a in stage.artifacts)
 
 
 def run_stage(cfg: PipelineConfig, name: str):
     """Run a single stage over the artifacts of the stages before it, and
-    record it as run_pipeline does.  Every stage before it must have run for
-    cfg: its record must hold the hash cfg gives it now, so that no stage
-    reads artifacts made from other inputs, parameters or code."""
+    record it as run_pipeline does.  Every stage before it must be fresh for
+    cfg, so that no stage reads artifacts that are missing or were made from
+    other inputs, parameters or code."""
     names = [stage.name for stage in STAGES]
     if name not in names:
         raise ValidationError(f"unknown stage {name!r}")
@@ -558,16 +560,11 @@ def run_stage(cfg: PipelineConfig, name: str):
     w = _workdir(cfg)
     hashes = _stage_hashes(cfg)
     for stage, expected in zip(STAGES[:i], hashes):
-        if _recorded_hash(w, stage) != expected:
+        if not _fresh(w, stage, expected):
             raise ValidationError(
-                f"stage {name!r} needs stage {stage.name!r} run for this config and code, but its record in "
-                f"{w / '.meta'} is stale or missing; run it first, or use `run`"
+                f"stage {name!r} needs stage {stage.name!r} run for this config and code, but in {w} its "
+                "record is stale or missing, or an artifact is missing; run it first, or use `run`"
             )
-    if i:
-        before = STAGES[i - 1]
-        missing = [a for a in before.artifacts if not (w / a).exists()]
-        if missing:
-            raise ValidationError(f"stage {name!r} needs {missing} in {w}; run stage {before.name!r} first")
     w.mkdir(parents=True, exist_ok=True)
     _run(STAGES[i], cfg, hashes[i])
 
@@ -581,13 +578,7 @@ def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
     report: dict[str, str] = {}
     upstream_ran = False
     for stage, expected in zip(STAGES, _stage_hashes(cfg)):
-        fresh = (
-            not force
-            and not upstream_ran
-            and _recorded_hash(w, stage) == expected
-            and all((w / a).exists() for a in stage.artifacts)
-        )
-        if fresh:
+        if not force and not upstream_ran and _fresh(w, stage, expected):
             report[stage.name] = "skipped"
             log.info("stage %s: skipped (up to date)", stage.name)
         else:

@@ -106,3 +106,17 @@ def test_damaged_bytes_name_the_file(tmp_path, damage, message):
     damage(path)
     with pytest.raises(CorpusError, match=r"damaged\.bin: " + message):
         load_arrays(path, "test", ("rows",), _layout)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, dtype", [("a", "<f8"), ("b", "<f4")])
+def test_non_finite_value_names_the_file_and_array(tmp_path, value, name, dtype):
+    def edit(header, blocks):
+        size = np.dtype(dtype).itemsize
+        blocks[name] = blocks[name][:size] + np.array([value], dtype).tobytes() + blocks[name][2 * size :]
+
+    path = tmp_path / "damaged.bin"
+    _save(path)
+    rewrite_arrayfile(path, edit)
+    with pytest.raises(CorpusError, match=rf"damaged\.bin: non-finite value in array '{name}'"):
+        load_arrays(path, "test", ("rows",), _layout)

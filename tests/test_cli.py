@@ -1,13 +1,15 @@
 """Command-line interface: flags, config precedence, exit codes, eval tools."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from opinionsum import pipeline
-from opinionsum.cli import build_config, main
+from opinionsum.cli import _SYNTH_FLAGS, _build_parser, build_config, main
 from opinionsum.embedding import TrainingError
+from opinionsum.synthetic import SyntheticSpec, generate_synthetic
 
 
 def _synth(tmp_path, n=100) -> dict:
@@ -97,12 +99,12 @@ class TestRun:
         # single stage without its upstream artifacts is a caller error
         assert main(["pseudo-label", "--config", str(config)]) == 1
         assert main(["run", "--config", str(config)]) == 0
-        # a stage subcommand checks only the previous stage's artifacts; an
-        # older missing input fails inside the stage
+        # a missing artifact of any upstream stage is a caller error naming that stage
+        capsys.readouterr()
         (tmp_path / "work" / "classified.jsonl").unlink()
-        assert main(["summarize", "--config", str(config)]) == 2
+        assert main(["summarize", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert "error: stage 'summarize' failed" in err and "classified.jsonl" in err
+        assert "stage 'summarize' needs stage 'classify'" in err and "run it first, or use `run`" in err
         # force a mid-pipeline failure: re-run cluster, which fails
         assert main(["classify", "--config", str(config)]) == 0
         monkeypatch.setattr(pipeline, "merge_sequence", fail)
@@ -347,6 +349,19 @@ class TestSynth:
         main(["synth", "--out", str(tmp_path / "a"), "--sentences", "30", "--seed", "9"])
         main(["synth", "--out", str(tmp_path / "b"), "--sentences", "30", "--seed", "9"])
         assert (tmp_path / "a" / "corpus.conllu").read_bytes() == (tmp_path / "b" / "corpus.conllu").read_bytes()
+
+    def test_default_flags_write_the_default_spec(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli"), "--seed", "7", "--sentences", "40"]) == 0
+        paths = generate_synthetic(SyntheticSpec(n_sentences=40), 7, tmp_path / "api")
+        for path in paths.values():
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_every_spec_field_has_a_flag_with_its_default(self):
+        parse = _build_parser().parse_args
+        defaults = parse(["synth", "--out", "x"])
+        for f in dataclasses.fields(SyntheticSpec):
+            assert getattr(defaults, f.name) == f.default, f.name
+            assert getattr(parse(["synth", "--out", "x", _SYNTH_FLAGS[f.name], "3"]), f.name) == f.type("3")
 
 
 class TestEval:

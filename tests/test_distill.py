@@ -1,5 +1,6 @@
 """Pseudo-label machinery: top-K selection, softening, KL loss, joint agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -186,12 +187,12 @@ class TestJointAgreement:
         assert seen == {SOFT, BACKGROUND, EXCLUDED}
 
     def test_json_roundtrip(self):
-        for label in (
-            PseudoPhraseLabel.soft("a", np.array([0.7, 0.3])),
-            PseudoPhraseLabel.background("b", 4),
-            PseudoPhraseLabel.excluded("c"),
+        for label, n_categories in (
+            (PseudoPhraseLabel.soft("a", np.array([0.7, 0.3])), 2),
+            (PseudoPhraseLabel.background("b", 4), 4),
+            (PseudoPhraseLabel.excluded("c"), 2),
         ):
-            again = PseudoPhraseLabel.from_json(label.to_json())
+            again = PseudoPhraseLabel.from_json(label.to_json(), n_categories)
             assert again.outcome == label.outcome and again.phrase_id == label.phrase_id
             if label.distribution is None:
                 assert again.distribution is None
@@ -203,7 +204,31 @@ class TestJointAgreement:
         labels = (PseudoPhraseLabel.soft("a", np.array([bad, 0.3])), PseudoSentenceLabel("s", np.array([0.5, bad])))
         for label in labels:
             with pytest.raises(ValueError, match="finite"):
-                type(label).from_json(label.to_json())
+                type(label).from_json(label.to_json(), 2)
+
+    @pytest.mark.parametrize(
+        "distribution, match",
+        [([0.5, 0.25, 0.25], "2 finite values"), ([1.0], "2 finite values"), ([-5.0, 6.0], ">= 0"),
+         ([0.5, 0.6], "sum to 1"), ([[0.5], [0.5]], "2 finite values"), ("ab", "could not convert")],
+    )
+    def test_json_rejects_distribution_off_the_schema(self, distribution, match):
+        rows = ({"id": "s", "distribution": distribution}, {"id": "a", "outcome": SOFT, "distribution": distribution})
+        for cls, row in zip((PseudoSentenceLabel, PseudoPhraseLabel), rows):
+            with pytest.raises(ValueError, match=match):
+                cls.from_json(json.dumps(row), 2)
+
+    def test_json_accepts_sums_within_1e_9(self):
+        row = json.dumps({"id": "s", "distribution": [0.5 + 9e-10, 0.5]})
+        assert PseudoSentenceLabel.from_json(row, 2).distribution.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "outcome, distribution",
+        [("bogus", [0.5, 0.5]), (SOFT, None), (BACKGROUND, None), (EXCLUDED, [0.5, 0.5]), (None, None)],
+    )
+    def test_json_rejects_outcome_off_the_rules(self, outcome, distribution):
+        row = json.dumps({"id": "a", "outcome": outcome, "distribution": distribution})
+        with pytest.raises(ValueError, match="expected outcome soft, background or excluded"):
+            PseudoPhraseLabel.from_json(row, 2)
 
 
 class TestConfig:

@@ -29,6 +29,7 @@ from opinionsum.pipeline import (
     seed_for,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
+from util import rewrite_arrayfile
 
 
 def _small_config(data_dir, workdir, seed=1) -> PipelineConfig:
@@ -117,6 +118,21 @@ class TestFullRun:
         rows = _read_jsonl(Path(cfg.workdir) / "corpus.jsonl")
         assert rows and all(row.keys() == {"id", "review_id", "target_id", "tokens"} for row in rows)
 
+    def test_records_hold_each_stage_metrics(self, ran):
+        cfg, _ = ran
+        w = Path(cfg.workdir)
+        records = {s.name: json.loads((w / ".meta" / f"{s.name}.json").read_text()) for s in pipeline.STAGES}
+        assert all(sorted(r) == ["artifacts", "hash", "metrics"] for r in records.values())
+        metrics = {name: r["metrics"] for name, r in records.items()}
+        for name in ("train-embed", "train-classifier", "finetune-phrases"):
+            assert sorted(metrics[name]) == ["aspect", "sentiment"], name
+        assert all(m["epochs"] == cfg.embed.epochs for m in metrics["train-embed"].values())
+        assert all(m["batches"] > 0 for m in metrics["train-classifier"].values())
+        assert metrics["cluster"] == {"groups": len(_read_jsonl(w / "merges.jsonl"))}
+        assert [name for name, m in metrics.items() if m is None] == [
+            "extract", "pseudo-label", "phrase-labels", "classify", "summarize",
+        ]
+
     def test_stages_after_extract_parse_no_tree(self, ran, tmp_path, monkeypatch):
         def parse(text):
             raise AssertionError("a stage after extract parsed a tree")
@@ -170,9 +186,9 @@ class TestPhraseVectors:
         w = Path(copy.workdir)
         expect = (w / "merges.jsonl").read_bytes()
         keep = {"classified.jsonl", "phrase_vectors.bin"}
-        for f in w.iterdir():
+        for f in w.iterdir():  # upstream artifacts must exist, so they become junk
             if f.is_file() and f.name not in keep:
-                f.unlink()
+                f.write_bytes(b"junk\n")
         run_stage(copy, "cluster")
         assert (w / "merges.jsonl").read_bytes() == expect
 
@@ -315,19 +331,6 @@ class TestMergeSequences:
         err = capsys.readouterr().err
         assert f"merges.jsonl:{line}: " in err and "Traceback" not in err
 
-    def test_non_finite_vector_fails_naming_the_phrase(self, ran, tmp_path):
-        cfg, _ = ran
-        copy = _copy(cfg, tmp_path / "work")
-        w = Path(copy.workdir)
-        rows = _read_jsonl(w / "classified.jsonl")
-        k = next(i for i, r in enumerate(rows) if r["aspect"] and r["sentiment"])
-        vectors = _load_vectors(w)
-        vectors[k, 1] = np.nan
-        _save_vectors(w, vectors)
-        with pytest.raises(StageError, match=re.escape(repr(rows[k]["phrase_id"])) + ".*non-finite") as err:
-            run_stage(copy, "cluster")
-        assert isinstance(err.value.__cause__, ValueError)
-
 
 def _edit_row(edit, line=1):
     """Damage: apply edit to the JSON object on one line of a JSON-lines file."""
@@ -381,6 +384,30 @@ def _drop_last_bytes(path):
     path.write_bytes(path.read_bytes()[:-4])
 
 
+def _nan_first_value(path):
+    def edit(header, blocks):
+        name, dtype, _ = header["arrays"][0]
+        blocks[name] = np.array([np.nan], dtype).tobytes() + blocks[name][np.dtype(dtype).itemsize :]
+
+    rewrite_arrayfile(path, edit)
+
+
+def _exits_1_naming_the_file(ran, tmp_path, capsys, artifact, damage, command) -> str:
+    """Damage the artifact in a copy of the run, run the stage subcommand,
+    and check that it exits 1 naming the file (and the line damage returns);
+    returns stderr."""
+    cfg, _ = ran
+    copy = _copy(cfg, tmp_path / "work")
+    line = damage(Path(copy.workdir) / artifact)
+    flags = _config_flags(copy, tmp_path)
+    capsys.readouterr()
+    assert main([command, *flags]) == 1
+    err = capsys.readouterr().err
+    where = f"{artifact}:{line}: " if line else f"{artifact}: "
+    assert where in err and "Traceback" not in err and "error: stage" not in err
+    return err
+
+
 class TestDamagedArtifacts:
     """A damaged workdir artifact exits 1 with a message naming it (and the
     line, for JSON lines), whichever stage reads it."""
@@ -403,18 +430,30 @@ class TestDamagedArtifacts:
             ("classifier_aspect_ft.ckpt", _drop_last_bytes, "classify"),
             ("classifier_sentiment.ckpt", _replace_header, "finetune-phrases"),
             ("phrase_vectors.bin", _replace_header, "cluster"),
+            ("embed_aspect.bin", _nan_first_value, "pseudo-label"),
+            ("classifier_aspect.ckpt", _nan_first_value, "phrase-labels"),
+            ("classifier_aspect_ft.ckpt", _nan_first_value, "classify"),
+            ("phrase_vectors.bin", _nan_first_value, "cluster"),
         ],
     )
     def test_exits_1_naming_the_file(self, ran, tmp_path, capsys, artifact, damage, command):
-        cfg, _ = ran
-        copy = _copy(cfg, tmp_path / "work")
-        line = damage(Path(copy.workdir) / artifact)
-        flags = _config_flags(copy, tmp_path)
-        capsys.readouterr()
-        assert main([command, *flags]) == 1
-        err = capsys.readouterr().err
-        where = f"{artifact}:{line}: " if line else f"{artifact}: "
-        assert where in err and "Traceback" not in err and "error: stage" not in err
+        _exits_1_naming_the_file(ran, tmp_path, capsys, artifact, damage, command)
+
+    @pytest.mark.parametrize(
+        "artifact, edit, command",
+        [
+            ("pseudo_sentences_aspect.jsonl", lambda row: row.update(distribution=[0.5, 0.25, 0.25]),
+             "train-classifier"),
+            ("pseudo_sentences_aspect.jsonl", lambda row: row.update(distribution=[-5.0, 6.0]), "train-classifier"),
+            ("phrase_labels_aspect.jsonl", lambda row: row.update(outcome="bogus"), "finetune-phrases"),
+            ("phrase_labels_aspect.jsonl", lambda row: row.update(outcome="soft", distribution=[0.5, 0.25, 0.25]),
+             "finetune-phrases"),
+        ],
+        ids=["sentence-3-entries", "sentence-negative", "phrase-bogus-outcome", "phrase-soft-3-entries"],
+    )
+    def test_label_row_off_the_schema_exits_1_naming_the_line(self, ran, tmp_path, capsys, artifact, edit, command):
+        err = _exits_1_naming_the_file(ran, tmp_path, capsys, artifact, _edit_row(edit, 2), command)
+        assert "distribution" in err
 
     @pytest.mark.parametrize("indices", [[], [-1], [1, 1], [2, 1], [0.5], [3]])
     def test_phrase_row_rejects_indices_outside_the_sentence(self, indices):
@@ -574,9 +613,15 @@ class TestWorkers:
         copy = _copy(cfg, tmp_path / "work")
         for name in self._TRAINED:
             (tmp_path / "work" / name).unlink()
-        for body in (pipeline._run_train_embed, pipeline._run_train_classifier, pipeline._run_finetune):
+        for body, stage, keys in (
+            (pipeline._run_train_embed, "train-embed", {"epochs", "final_gen_loss"}),
+            (pipeline._run_train_classifier, "train-classifier", {"parameters", "batches", "last_loss"}),
+            (pipeline._run_finetune, "finetune-phrases", {"batches", "last_loss"}),
+        ):
+            recorded = json.loads((Path(cfg.workdir) / ".meta" / f"{stage}.json").read_text())["metrics"]
             for kind in ("aspect", "sentiment"):
-                assert f"[{kind}]: " in body(copy, kind)
+                metrics = body(copy, kind)
+                assert metrics.keys() == keys and metrics == recorded[kind], (stage, kind)
         for name in self._TRAINED:
             assert (tmp_path / "work" / name).read_bytes() == (Path(cfg.workdir) / name).read_bytes(), name
 
@@ -684,6 +729,9 @@ class TestDeterminism:
         a = (Path(cfg_a.workdir) / "summary.json").read_bytes()
         b = (Path(cfg_b.workdir) / "summary.json").read_bytes()
         assert a == b
+        for stage in pipeline.STAGES:  # the records too, metrics included
+            record = (Path(cfg_a.workdir) / ".meta" / f"{stage.name}.json").read_bytes()
+            assert record == (Path(cfg_b.workdir) / ".meta" / f"{stage.name}.json").read_bytes(), stage.name
 
     def test_seed_derivation_stable_and_distinct(self):
         assert seed_for(1, "embed", "aspect") == seed_for(1, "embed", "aspect")
