@@ -151,14 +151,20 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _label_row(line: str) -> tuple:
-    row = json.loads(line)  # an object with "id" and "label"
-    return row["id"], row["label"]
+def _label_row(line: str, gold: bool) -> tuple:
+    """An {id, label} row; the label may be a list of strings only in gold."""
+    row = json.loads(line)
+    label = row["label"]
+    if type(row["id"]) is not str or not (
+        label is None or type(label) is str or gold and type(label) is list and all(type(l) is str for l in label)
+    ):
+        raise ValueError("expected a string id and a string or null label" + (" or a list of strings" if gold else ""))
+    return row["id"], label
 
 
 def _cmd_eval_classify(args) -> int:
-    pred = dict(read_jsonl(args.pred, _label_row))
-    gold = dict(read_jsonl(args.gold, _label_row))
+    pred = dict(read_jsonl(args.pred, lambda line: _label_row(line, False)))
+    gold = dict(read_jsonl(args.gold, lambda line: _label_row(line, True)))
     ids = sorted(gold)
     missing = [i for i in ids if i not in pred]
     if missing:
@@ -259,10 +265,12 @@ def _cmd_eval_intrusion_score(args) -> int:
         sets.append(
             IntrusionSet(row["set_id"], [""] * 5, row["intruder"], row["shared_word"], row["answer_key"])
         )
-        try:
-            given.append(int(answers[row["set_id"]]))
-        except (TypeError, ValueError):
-            raise ValidationError(f"{args.answers}: answer for {row['set_id']!r} is not an integer") from None
+        answer = answers[row["set_id"]]
+        if type(answer) is not int:
+            raise ValidationError(f"{args.answers}: answer for {row['set_id']!r} is not an integer")
+        if not 0 <= answer <= 5:  # the position of one of six phrases
+            raise ValidationError(f"{args.answers}: answer for {row['set_id']!r} is {answer}, not in 0-5")
+        given.append(answer)
     print(json.dumps({"n": len(sets), "coherence": coherence_score(sets, given)}))
     return 0
 

@@ -1,14 +1,15 @@
 """End-to-end pipeline: stage orchestration, artifacts, and resumability.
 
 Stages run in a fixed order, each writing its artifacts to the workdir
-atomically.  A stage is fresh when its record holds the hash that the config
-and code give it (own params, extract's with the input digests, chained
-upstream hashes, a digest of the package's sources) and every artifact of the
-stage exists; a re-run skips a fresh stage unless an upstream stage re-ran,
-and a single stage runs only over fresh upstream stages.  The record also
-holds the metrics the stage body returns.  The three training stages train
-their aspect and sentiment models in two forked worker processes, one per
-schema.
+atomically and recording their sha256 digests, its hash and the metrics its
+body returns in .meta/<stage>.json.  A stage's hash covers its name and
+params, the package's sources, the external inputs' digests and the artifact
+digests in the records of every stage before it, so a re-run that writes the
+same bytes leaves the stages after it fresh.  A stage is fresh when its
+record holds that hash and every artifact of the stage exists; a re-run skips
+a fresh stage, and a single stage runs only over fresh upstream stages.  The
+three training stages train their aspect and sentiment models in two forked
+worker processes, one per schema.
 """
 
 import functools
@@ -414,17 +415,11 @@ class _Stage:
     run: object  # cfg -> metrics dict or None
 
 
-def _input_digests(cfg: PipelineConfig) -> dict[str, str]:
-    """A digest of each external input keyed by config field, so that its
-    content is in the hash and its location is not."""
-    return {name: _file_digest(getattr(cfg, name)) for name in _INPUT_FIELDS if getattr(cfg, name)}
-
-
 STAGES = (
     _Stage(
         "extract",
         ("corpus.jsonl", "vocab.txt", "phrases.jsonl"),
-        lambda c: {"min_count": c.min_count, "inputs": _input_digests(c)},
+        lambda c: {"min_count": c.min_count},
         _run_extract,
     ),
     _Stage(
@@ -497,28 +492,18 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _stage_hashes(cfg: PipelineConfig) -> list[str]:
-    """Each stage's chain hash for cfg: a digest of its name and params
-    (extract's carry the external inputs' digests), the hash of the stage
-    before it and the package sources."""
-    hashes, upstream = [], ""
-    for stage in STAGES:
-        payload = {"stage": stage.name, "params": stage.params(cfg), "upstream": upstream, "code": _source_digest()}
-        upstream = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        hashes.append(upstream)
-    return hashes
-
-
-def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
+def _run(stage: _Stage, cfg: PipelineConfig, expected: str) -> dict[str, str]:
     """Run one stage body, then log the metrics it returns and record them
-    with its hash in .meta/<stage>.json.  The old record goes first, so a
-    failed run leaves none.  Whatever the body raises becomes a StageError
-    naming the previous stage's last artifact, except a CorpusError, which
-    names the malformed input file itself."""
+    with its hash and its artifacts' digests in .meta/<stage>.json; returns
+    the digests.  The old record goes first, so a failed run leaves none.
+    Whatever the body raises becomes a StageError naming the previous stage's
+    last artifact, except a CorpusError, which names the malformed input file
+    itself."""
+    w = _workdir(cfg)
     i = STAGES.index(stage)
-    last_good = str(_workdir(cfg) / STAGES[i - 1].artifacts[-1]) if i else "(none)"
-    meta_path = _workdir(cfg) / ".meta" / f"{stage.name}.json"
-    meta_path.parent.mkdir(exist_ok=True)
+    last_good = str(w / STAGES[i - 1].artifacts[-1]) if i else "(none)"
+    meta_path = w / ".meta" / f"{stage.name}.json"
+    meta_path.parent.mkdir(parents=True, exist_ok=True)
     meta_path.unlink(missing_ok=True)
     try:
         metrics = stage.run(cfg)
@@ -531,20 +516,54 @@ def _run(stage: _Stage, cfg: PipelineConfig, expected: str):
         ) from exc
     if metrics:
         log.info("stage %s: %s", stage.name, json.dumps(metrics, sort_keys=True))
-    record = {"hash": expected, "artifacts": list(stage.artifacts), "metrics": metrics}
-    meta_path.write_text(json.dumps(record, sort_keys=True))
+    digests = {a: _file_digest(w / a) for a in stage.artifacts}
+    meta_path.write_text(json.dumps({"hash": expected, "artifacts": digests, "metrics": metrics}, sort_keys=True))
+    return digests
 
 
-def _fresh(w: Path, stage: _Stage, expected: str) -> bool:
-    """Whether the stage's .meta record holds the expected hash and every
-    artifact of the stage exists."""
+def _fresh(w: Path, stage: _Stage, expected: str) -> dict[str, str] | None:
+    """The artifact digests of the stage's .meta record if it holds the
+    expected hash and a digest of each artifact of the stage, and every one
+    exists; else None."""
     try:
         recorded = json.loads((w / ".meta" / f"{stage.name}.json").read_text())
     except (FileNotFoundError, ValueError):  # missing, not JSON, or not text
-        return False
+        return None
     if type(recorded) is not dict or recorded.get("hash") != expected:
-        return False
-    return all((w / a).exists() for a in stage.artifacts)
+        return None
+    digests = recorded.get("artifacts")
+    ok = type(digests) is dict and sorted(digests) == sorted(stage.artifacts) and all((w / a).exists() for a in digests)
+    return digests if ok else None
+
+
+def _walk(cfg: PipelineConfig, target: str | None = None, force: bool = False) -> dict[str, str]:
+    """Skip each fresh stage and run each stale one (every one with force), in
+    order; returns {stage: "ran" | "skipped"}.  With a target, refuse a stale
+    stage before it, run the target and stop."""
+    cfg.validate()
+    w = _workdir(cfg)
+    # each external input's digest keyed by config field: its content is in the hash, its location is not
+    inputs = {name: _file_digest(getattr(cfg, name)) for name in _INPUT_FIELDS if getattr(cfg, name)}
+    upstream: dict[str, str] = {}  # each artifact of the stages walked so far -> its digest
+    report: dict[str, str] = {}
+    for stage in STAGES:
+        payload = {"stage": stage.name, "params": stage.params(cfg), "code": _source_digest(), "inputs": inputs}
+        payload["upstream"] = upstream
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        digests = None if force or stage.name == target else _fresh(w, stage, expected)
+        if digests is None and target not in (None, stage.name):
+            raise ValidationError(
+                f"stage {target!r} needs stage {stage.name!r} run for this config and code, but in {w} its "
+                "record is stale or missing, or an artifact is missing; run it first, or use `run`"
+            )
+        report[stage.name] = "ran" if digests is None else "skipped"
+        log.info("stage %s: %s", stage.name, "running" if digests is None else "skipped (up to date)")
+        if digests is None:
+            digests = _run(stage, cfg, expected)
+        upstream.update(digests)
+        if stage.name == target:
+            break
+    return report
 
 
 def run_stage(cfg: PipelineConfig, name: str):
@@ -552,38 +571,11 @@ def run_stage(cfg: PipelineConfig, name: str):
     record it as run_pipeline does.  Every stage before it must be fresh for
     cfg, so that no stage reads artifacts that are missing or were made from
     other inputs, parameters or code."""
-    names = [stage.name for stage in STAGES]
-    if name not in names:
+    if name not in [stage.name for stage in STAGES]:
         raise ValidationError(f"unknown stage {name!r}")
-    cfg.validate()
-    i = names.index(name)
-    w = _workdir(cfg)
-    hashes = _stage_hashes(cfg)
-    for stage, expected in zip(STAGES[:i], hashes):
-        if not _fresh(w, stage, expected):
-            raise ValidationError(
-                f"stage {name!r} needs stage {stage.name!r} run for this config and code, but in {w} its "
-                "record is stale or missing, or an artifact is missing; run it first, or use `run`"
-            )
-    w.mkdir(parents=True, exist_ok=True)
-    _run(STAGES[i], cfg, hashes[i])
+    _walk(cfg, target=name)
 
 
 def run_pipeline(cfg: PipelineConfig, force: bool = False) -> dict[str, str]:
     """Run all stages in order; returns {stage: "ran" | "skipped"}."""
-    cfg.validate()
-    w = _workdir(cfg)
-    w.mkdir(parents=True, exist_ok=True)
-
-    report: dict[str, str] = {}
-    upstream_ran = False
-    for stage, expected in zip(STAGES, _stage_hashes(cfg)):
-        if not force and not upstream_ran and _fresh(w, stage, expected):
-            report[stage.name] = "skipped"
-            log.info("stage %s: skipped (up to date)", stage.name)
-        else:
-            log.info("stage %s: running", stage.name)
-            _run(stage, cfg, expected)
-            report[stage.name] = "ran"
-            upstream_ran = True
-    return report
+    return _walk(cfg, force=force)

@@ -384,6 +384,49 @@ class TestEval:
         assert main(["eval", "classify", "--pred", str(broken), "--gold", str(good)]) == 1
         assert f"{broken}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "which, bad",
+        [
+            ("pred", {"id": ["p0"], "label": "a"}),
+            ("pred", {"id": 0, "label": "a"}),
+            ("pred", {"id": "p0", "label": ["a"]}),
+            ("pred", {"id": "p0", "label": 1}),
+            ("gold", {"id": ["p0"], "label": "a"}),
+            ("gold", {"id": "p0", "label": [["a"]]}),
+            ("gold", {"id": "p0", "label": {"a": 1}}),
+        ],
+    )
+    def test_classify_label_off_the_schema_names_file_and_line(self, tmp_path, capsys, which, bad):
+        paths = {}
+        for name in ("pred", "gold"):
+            rows = [{"id": "p1", "label": "b"}, bad if name == which else {"id": "p0", "label": "a"}]
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["eval", "classify", "--pred", str(paths["pred"]), "--gold", str(paths["gold"])]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {paths[which]}:2: malformed row" in err and "Traceback" not in err
+
+    def test_classify_gold_label_may_be_a_list_or_null(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        pred.write_text("\n".join(json.dumps({"id": f"p{i}", "label": l}) for i, l in enumerate(["a", None, "b"])))
+        gold.write_text("\n".join(json.dumps({"id": f"p{i}", "label": l}) for i, l in enumerate([["b", "a"], None, []])))
+        assert main(["eval", "classify", "--pred", str(pred), "--gold", str(gold)]) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [(2.7, "is not an integer"), (True, "is not an integer"), ("1", "is not an integer"),
+         (99, "is 99, not in 0-5"), (-1, "is -1, not in 0-5")],
+    )
+    def test_intrusion_answer_must_be_a_position(self, tmp_path, capsys, answer, message):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps([{"set_id": "set-000", "answer_key": 2, "shared_word": "w", "intruder": "x"}]))
+        answers = tmp_path / "answers.json"
+        answers.write_text(json.dumps({"set-000": answer}))
+        assert main(["eval", "intrusion", "score", "--answers", str(answers), "--key", str(key)]) == 1
+        assert f"error: {answers}: answer for 'set-000' {message}" in capsys.readouterr().err
+
     def test_diversity_and_intrusion_cycle(self, tmp_path, capsys):
         summary = {
             "t0": {

@@ -2,7 +2,6 @@
 
 import re
 from fnmatch import fnmatchcase
-import tomllib
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -64,5 +63,6 @@ def test_readme_config_table_lists_every_key_and_flag():
 
 
 def test_pyproject_version_matches_package():
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        assert tomllib.load(f)["project"]["version"] == opinionsum.__version__
+    # read without tomllib, which Python 3.10 (the oldest supported) lacks
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, flags=re.M) == [opinionsum.__version__]

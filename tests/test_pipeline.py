@@ -140,7 +140,8 @@ class TestFullRun:
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
         w = Path(copy.workdir)
-        (w / ".meta" / "train-embed.json").unlink()  # re-run every stage after extract
+        for stage in pipeline.STAGES[1:]:  # re-run every stage after extract
+            (w / ".meta" / f"{stage.name}.json").unlink()
         monkeypatch.setattr(corpus, "parse_bracketed_tree", parse)  # fork carries the patch
         report = run_pipeline(copy)
         assert report == {stage.name: "skipped" if stage.name == "extract" else "ran" for stage in pipeline.STAGES}
@@ -470,19 +471,45 @@ class TestResume:
         report = run_pipeline(cfg)
         assert all(status == "skipped" for status in report.values())
 
-    def test_deleting_cluster_output_reruns_cluster_and_summarize(self, ran):
+    def test_deleting_cluster_output_reruns_only_cluster(self, ran):
+        """cluster writes the same bytes again, so summarize stays fresh."""
         cfg, _ = ran
-        (Path(cfg.workdir) / "merges.jsonl").unlink()
+        merges = Path(cfg.workdir) / "merges.jsonl"
+        before = merges.read_bytes()
+        merges.unlink()
         report = run_pipeline(cfg)
-        expect = {name: "skipped" for name in report}
-        expect["cluster"] = expect["summarize"] = "ran"
-        assert report == expect
+        assert [name for name, status in report.items() if status == "ran"] == ["cluster"]
+        assert report["summarize"] == "skipped"
+        assert merges.read_bytes() == before
 
     def test_deleting_clusters_reruns_only_summarize(self, ran):
         cfg, _ = ran
         (Path(cfg.workdir) / "clusters.jsonl").unlink()
         report = run_pipeline(cfg)
         assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
+
+    def test_same_bytes_stop_the_rerun(self, ran, tmp_path):
+        """theta1 0.35 -> 0.45 re-runs phrase-labels, which writes the same
+        labels, so no stage after it re-runs."""
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        before = {f.name: f.read_bytes() for f in w.iterdir() if f.is_file()}
+        assert copy.distill.theta1 == 0.35
+        report = run_pipeline(dataclasses.replace(copy, distill=dataclasses.replace(copy.distill, theta1=0.45)))
+        assert [name for name, status in report.items() if status == "ran"] == ["phrase-labels"]
+        assert {f.name: f.read_bytes() for f in w.iterdir() if f.is_file()} == before
+
+    @pytest.mark.parametrize("name", ["train-embed", "train-classifier", "classify"])
+    def test_deleting_a_record_reruns_only_its_stage(self, ran, tmp_path, name):
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        meta = Path(copy.workdir) / ".meta"
+        record = (meta / f"{name}.json").read_bytes()
+        (meta / f"{name}.json").unlink()
+        report = run_pipeline(copy)
+        assert [stage for stage, status in report.items() if status == "ran"] == [name]
+        assert (meta / f"{name}.json").read_bytes() == record
 
     def test_param_change_invalidates_downstream_only(self, ran):
         cfg, _ = ran
@@ -585,11 +612,15 @@ class TestResume:
         run_pipeline(copy)
         run_stage(dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.05)), "summarize")
 
-    @pytest.mark.parametrize("record", [b"[]", b"not json", b"\xff\xfe"])
+    @pytest.mark.parametrize("record", [b"[]", b"not json", b"\xff\xfe", "artifacts as a list"])
     def test_damaged_record_reruns_its_stage(self, ran, tmp_path, record):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
-        (Path(copy.workdir) / ".meta" / "summarize.json").write_bytes(record)
+        path = Path(copy.workdir) / ".meta" / "summarize.json"
+        if record == "artifacts as a list":  # the right hash, the artifact names without digests
+            good = json.loads(path.read_text())
+            record = json.dumps({**good, "artifacts": sorted(good["artifacts"])}).encode()
+        path.write_bytes(record)
         report = run_pipeline(copy)
         assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
 
