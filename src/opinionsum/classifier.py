@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayfile import load_arrays, save_arrays
-from .corpus import CorpusError, Sentence, Vocabulary
+from .corpus import CorpusError, Vocabulary
 
 _CLIP_NORM = 5.0
 _PARAM_ORDER = ("emb", "wq", "wk", "wv", "wo", "bo")
@@ -249,59 +249,20 @@ def _fit(model: ReferenceEncoder, items: list, config: TrainConfig, seed: int) -
     return trajectory
 
 
-def train_on_sentences(
-    model: ReferenceEncoder,
-    pseudo,
-    corpus: list[Sentence],
-    vocab: Vocabulary,
-    config: TrainConfig,
-    seed: int = 0,
-) -> tuple[ReferenceEncoder, list[float]]:
-    """Fit the model on soft sentence labels (whole sentence as the unit)."""
-    by_id = {s.id: s for s in corpus}
-    items = []
-    for label in pseudo:
-        sent = by_id.get(label.sentence_id)
-        if sent is None:
-            raise ValueError(f"pseudo label for unknown sentence {label.sentence_id!r}")
-        ids = token_ids(vocab, [t.surface for t in sent.tokens])
-        items.append((ClassifierInput(ids), label.distribution))
-    return model, _fit(model, items, config, seed)
-
-
-def finetune_on_phrases(
-    model: ReferenceEncoder,
-    pseudo,
-    phrases_by_id: dict,
-    corpus: list[Sentence],
-    vocab: Vocabulary,
-    config: TrainConfig,
-    seed: int = 0,
-) -> tuple[ReferenceEncoder, list[float]]:
-    """Fit on phrase labels: the input is the full sentence with the phrase's
-    covering span marked.  Excluded labels are skipped; Background labels
-    train toward the uniform distribution they carry."""
-    by_id = {s.id: s for s in corpus}
-    items = []
-    for label in pseudo:
-        if label.distribution is None:
-            continue
-        phrase = phrases_by_id.get(label.phrase_id)
-        if phrase is None:
-            raise ValueError(f"pseudo label for unknown phrase {label.phrase_id!r}")
-        sent = by_id[phrase.sentence_id]
-        items.append((phrase_input(vocab, sent, phrase), label.distribution))
-    return model, _fit(model, items, config, seed)
+def fit(model: ReferenceEncoder, rows, vocab: Vocabulary, config: TrainConfig, seed: int) -> list[float]:
+    """Fit the model on (sentence, span or None, distribution) rows: the
+    input is the whole sentence, pooled over the span, or over every token
+    for None.  Returns the per-batch losses."""
+    items = [
+        (ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), span), distribution)
+        for sentence, span, distribution in rows
+    ]
+    return _fit(model, items, config, seed)
 
 
 def phrase_span(phrase) -> tuple[int, int]:
     """The phrase's covering span [min_idx, max_idx+1)."""
     return (phrase.token_indices[0], phrase.token_indices[-1] + 1)
-
-
-def phrase_input(vocab: Vocabulary, sentence: Sentence, phrase) -> ClassifierInput:
-    """Full sentence plus the phrase's covering span."""
-    return ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), phrase_span(phrase))
 
 
 def encode_phrases(model: ReferenceEncoder, vocab: Vocabulary, sentences: dict, phrases: list):

@@ -451,15 +451,34 @@ def sentence_to_json(sentence: Sentence) -> str:
 
 
 def sentence_from_json(line: str) -> Sentence:
+    """A corpus.jsonl row: string id, target_id and review_id, and tokens a
+    non-empty list of [surface, pos] string pairs."""
     obj = json.loads(line)
-    tokens = [Token(i, s, p) for i, (s, p) in enumerate(obj["tokens"])]
-    return Sentence(obj["id"], obj["target_id"], obj["review_id"], tokens, [])
+    ids, tokens = (obj["id"], obj["target_id"], obj["review_id"]), obj["tokens"]
+    if not (
+        all(type(i) is str for i in ids)
+        and type(tokens) is list
+        and tokens
+        and all(type(t) is list and len(t) == 2 and type(t[0]) is type(t[1]) is str for t in tokens)
+    ):
+        raise ValueError("expected string id, target_id and review_id and a non-empty list of [surface, pos] strings")
+    return Sentence(*ids, [Token(i, s, p) for i, (s, p) in enumerate(tokens)], [])
+
+
+def unique_id(row, seen: set):
+    """row, whose id no row before it had; adds the id to seen."""
+    if row.id in seen:
+        raise ValueError(f"duplicate id {row.id!r}")
+    seen.add(row.id)
+    return row
 
 
 def load_manifest(path) -> list[Sentence]:
-    """The sentences of a corpus.jsonl, without their parse: deps == [] and
-    tree is None, as only extract, which reads the corpus itself, uses them."""
-    return read_jsonl(path, sentence_from_json)
+    """The sentences of a corpus.jsonl, ids unique, without their parse:
+    deps == [] and tree is None, as only extract, which reads the corpus
+    itself, uses them."""
+    seen: set[str] = set()
+    return read_jsonl(path, lambda line: unique_id(sentence_from_json(line), seen))
 
 
 def read_jsonl(path, parse) -> list:

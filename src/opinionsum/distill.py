@@ -48,6 +48,13 @@ def _distribution(values, n_categories: int) -> np.ndarray:
     return dist
 
 
+def _known_id(value, ids, what: str) -> str:
+    """A stored label's id: a string in ids, the manifest's ids of its kind."""
+    if type(value) is not str or value not in ids:
+        raise ValueError(f"id {value!r} names no {what} of the manifest")
+    return value
+
+
 @dataclass
 class PseudoSentenceLabel:
     sentence_id: str
@@ -60,9 +67,9 @@ class PseudoSentenceLabel:
         )
 
     @classmethod
-    def from_json(cls, line: str, n_categories: int) -> "PseudoSentenceLabel":
+    def from_json(cls, line: str, n_categories: int, sentence_ids) -> "PseudoSentenceLabel":
         obj = json.loads(line)
-        return cls(obj["id"], _distribution(obj["distribution"], n_categories))
+        return cls(_known_id(obj["id"], sentence_ids, "sentence"), _distribution(obj["distribution"], n_categories))
 
 
 @dataclass
@@ -90,7 +97,7 @@ class PseudoPhraseLabel:
         )
 
     @classmethod
-    def from_json(cls, line: str, n_categories: int) -> "PseudoPhraseLabel":
+    def from_json(cls, line: str, n_categories: int, phrase_ids) -> "PseudoPhraseLabel":
         obj = json.loads(line)
         outcome, dist = obj["outcome"], obj["distribution"]
         if outcome not in (SOFT, BACKGROUND, EXCLUDED) or (dist is None) != (outcome == EXCLUDED):
@@ -98,7 +105,8 @@ class PseudoPhraseLabel:
                 "expected outcome soft, background or excluded, with a null distribution iff excluded, "
                 f"got {outcome!r} with {dist!r}"
             )
-        return cls(obj["id"], outcome, None if dist is None else _distribution(dist, n_categories))
+        distribution = None if dist is None else _distribution(dist, n_categories)
+        return cls(_known_id(obj["id"], phrase_ids, "phrase"), outcome, distribution)
 
 
 def select_topk(space: SphereSpace, sentence_ids: list[str], k: int) -> list[list[str]]:

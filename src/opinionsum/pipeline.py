@@ -30,10 +30,10 @@ from .classifier import (
     TrainConfig,
     classify_phrase,
     encode_phrases,
-    finetune_on_phrases,
+    fit,
     load_checkpoint,
+    phrase_span,
     save_checkpoint,
-    train_on_sentences,
 )
 from .clustering import ClusterConfig, build_summary, merge_sequence, sorted_points
 from .corpus import (
@@ -45,6 +45,7 @@ from .corpus import (
     load_schema,
     read_jsonl,
     sentence_to_json,
+    unique_id,
 )
 from .distill import (
     DistillConfig,
@@ -227,14 +228,17 @@ def _run_pseudo_label(cfg: PipelineConfig):
 
 def _run_train_classifier(cfg: PipelineConfig, kind: str) -> dict:
     w = _workdir(cfg)
-    sentences = load_manifest(w / "corpus.jsonl")
+    sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
     vocab = Vocabulary.load(w / "vocab.txt")
     schema = load_schema(cfg.schema_path(kind), kind)
     n = len(schema.names)
-    labels = read_jsonl(w / f"pseudo_sentences_{kind}.jsonl", lambda line: PseudoSentenceLabel.from_json(line, n))
+    labels = read_jsonl(
+        w / f"pseudo_sentences_{kind}.jsonl", lambda line: PseudoSentenceLabel.from_json(line, n, sentences)
+    )
     model = ReferenceEncoder(len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind))
     seed = seed_for(cfg.seed, "train", kind)
-    _, trajectory = train_on_sentences(model, labels, sentences, vocab, cfg.train, seed)
+    rows = [(sentences[label.sentence_id], None, label.distribution) for label in labels]  # the whole sentence
+    trajectory = fit(model, rows, vocab, cfg.train, seed)
     _atomic_save(
         w / f"classifier_{kind}.ckpt",
         lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
@@ -243,25 +247,27 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> dict:
 
 
 def _phrase_row(line: str, sentences: dict) -> Phrase:
-    """One phrases.jsonl row: a known sentence_id and int indices that
-    strictly ascend inside [0, n) for that sentence's n tokens."""
+    """One phrases.jsonl row: a string id, a known sentence_id and int
+    indices that strictly ascend inside [0, n) for that sentence's n tokens."""
     phrase = phrase_from_json(line)
     idx = phrase.token_indices
     if not (
-        phrase.sentence_id in sentences
+        type(phrase.id) is str
+        and phrase.sentence_id in sentences
         and idx
         and all(type(i) is int for i in idx)
         and 0 <= idx[0]
         and all(a < b for a, b in zip(idx, idx[1:]))
         and idx[-1] < len(sentences[phrase.sentence_id].tokens)
     ):
-        raise ValueError("expected a known sentence_id and int indices strictly ascending in [0, n_tokens)")
+        raise ValueError("expected a string id, known sentence_id and int indices strictly ascending in [0, n_tokens)")
     return phrase
 
 
 def _phrase_inputs(w: Path):
     sentences = {s.id: s for s in load_manifest(w / "corpus.jsonl")}
-    phrases = read_jsonl(w / "phrases.jsonl", lambda line: _phrase_row(line, sentences))
+    seen: set[str] = set()
+    phrases = read_jsonl(w / "phrases.jsonl", lambda line: unique_id(_phrase_row(line, sentences), seen))
     return sentences, phrases, Vocabulary.load(w / "vocab.txt")
 
 
@@ -285,12 +291,19 @@ def _run_phrase_labels(cfg: PipelineConfig):
 def _run_finetune(cfg: PipelineConfig, kind: str) -> dict:
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
+    by_id = {p.id: p for p in phrases}
     model = load_checkpoint(w / f"classifier_{kind}.ckpt")
     n = len(model.categories)  # the schema's, in its order
-    labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", lambda line: PseudoPhraseLabel.from_json(line, n))
+    labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", lambda line: PseudoPhraseLabel.from_json(line, n, by_id))
     seed = seed_for(cfg.seed, "finetune", kind)
-    by_id = {p.id: p for p in phrases}
-    _, trajectory = finetune_on_phrases(model, labels, by_id, list(sentences.values()), vocab, cfg.train, seed)
+    # each phrase's sentence, pooled over its covering span.  Excluded labels are
+    # skipped; Background labels train toward the uniform distribution they carry
+    rows = []
+    for label in labels:
+        if label.distribution is not None:
+            phrase = by_id[label.phrase_id]
+            rows.append((sentences[phrase.sentence_id], phrase_span(phrase), label.distribution))
+    trajectory = fit(model, rows, vocab, cfg.train, seed)
     _atomic_save(w / f"classifier_{kind}_ft.ckpt", lambda p: save_checkpoint(model, p, seed))
     return {"batches": len(trajectory), "last_loss": (trajectory or [None])[-1]}
 
@@ -327,9 +340,26 @@ def _classified_row(line: str) -> dict:
     return row
 
 
+def _grouped_row(line: str, seen: set) -> dict:
+    """A classified.jsonl row as cluster groups it: string target_id, a string
+    phrase_id no row before it had, and string or null labels.  summarize keeps
+    the cheaper _classified_row."""
+    row = _classified_row(line)
+    pid = row["phrase_id"]
+    if not (
+        type(row["target_id"]) is type(pid) is str
+        and pid not in seen
+        and all(row[kind] is None or type(row[kind]) is str for kind in _KINDS)
+    ):
+        raise ValueError("expected string target_id, a string phrase_id no row before had, and string or null labels")
+    seen.add(pid)
+    return row
+
+
 def _run_cluster(cfg: PipelineConfig) -> dict:
     w = _workdir(cfg)
-    rows = read_jsonl(w / "classified.jsonl", _classified_row)
+    seen: set[str] = set()
+    rows = read_jsonl(w / "classified.jsonl", lambda line: _grouped_row(line, seen))
     # one row per line of classified.jsonl, in the same order
     _, (vectors,) = load_arrays(
         w / "phrase_vectors.bin", _VECTORS_KIND, ("dim",), lambda h: [["vectors", "<f8", [len(rows), h["dim"]]]]

@@ -18,17 +18,23 @@ from opinionsum.classifier import (
     batch_loss_and_grads,
     classify_phrase,
     encode_phrases,
-    finetune_on_phrases,
+    fit,
     load_checkpoint,
-    phrase_input,
+    phrase_span,
     save_checkpoint,
     token_ids,
-    train_on_sentences,
 )
 from opinionsum.corpus import CorpusError, build_vocab
-from opinionsum.distill import PseudoPhraseLabel, PseudoSentenceLabel, distill_loss
+from opinionsum.distill import PseudoPhraseLabel, distill_loss
 from opinionsum.extraction import Phrase
-from util import make_sentence, naive_batch_loss_and_grads, naive_encode_phrases, naive_fit, rewrite_arrayfile
+from util import (
+    make_sentence,
+    naive_batch_loss_and_grads,
+    naive_encode_phrases,
+    naive_fit,
+    phrase_input,
+    rewrite_arrayfile,
+)
 
 
 def _model(dim=4, vocab=7, cats=("a", "b", "c"), seed=0):
@@ -261,77 +267,66 @@ def _toy_corpus():
 
 
 class TestTraining:
+    """fit on whole-sentence rows, as the train-classifier stage builds them."""
+
     def _setup(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
-        pseudo = [
-            PseudoSentenceLabel("s0", np.array([0.9, 0.1])),
-            PseudoSentenceLabel("s1", np.array([0.1, 0.9])),
-        ]
+        rows = [(corpus[0], None, np.array([0.9, 0.1])), (corpus[1], None, np.array([0.1, 0.9]))]
         model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=2)
-        return model, pseudo, corpus, vocab
+        return model, rows, vocab
 
     def test_loss_decreases(self):
-        model, pseudo, corpus, vocab = self._setup()
-        _, tr = train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(learning_rate=0.5, epochs=60), seed=0)
+        model, rows, vocab = self._setup()
+        tr = fit(model, rows, vocab, TrainConfig(learning_rate=0.5, epochs=60), seed=0)
         assert np.mean(tr[-5:]) < np.mean(tr[:5])
 
     def test_zero_items_returns_model_unchanged(self):
-        model, _, corpus, vocab = self._setup()
+        model, _, vocab = self._setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        same, tr = train_on_sentences(model, [], corpus, vocab, TrainConfig())
-        assert same is model and tr == []
+        assert fit(model, [], vocab, TrainConfig(), seed=0) == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
     def test_seeded_training_reproducible(self):
         runs = []
         for _ in range(2):
-            model, pseudo, corpus, vocab = self._setup()
-            train_on_sentences(model, pseudo, corpus, vocab, TrainConfig(epochs=3), seed=9)
+            model, rows, vocab = self._setup()
+            fit(model, rows, vocab, TrainConfig(epochs=3), seed=9)
             runs.append(model.params)
         assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
 
-    def test_unknown_sentence_rejected(self):
-        model, _, corpus, vocab = self._setup()
-        bad = [PseudoSentenceLabel("ghost", np.array([0.5, 0.5]))]
-        with pytest.raises(ValueError, match="ghost"):
-            train_on_sentences(model, bad, corpus, vocab, TrainConfig())
-
     def test_batch_loss_is_mean_of_item_losses(self):
-        model, pseudo, corpus, vocab = self._setup()
-        items = []
-        for label in pseudo:
-            sent = next(s for s in corpus if s.id == label.sentence_id)
-            items.append((ClassifierInput(token_ids(vocab, [t.surface for t in sent.tokens])), label.distribution))
+        model, rows, vocab = self._setup()
+        items = [
+            (ClassifierInput(token_ids(vocab, [t.surface for t in sent.tokens])), target) for sent, _, target in rows
+        ]
         loss, _ = batch_loss_and_grads(model, items)
         oracle = np.mean([distill_loss(t, model.predict(i)) for i, t in items])
         assert loss == pytest.approx(oracle, rel=1e-12)
 
     def test_independent_instances_share_no_state(self):
-        model_a, pseudo, corpus, vocab = self._setup()
+        model_a, rows, vocab = self._setup()
         model_b = ReferenceEncoder(len(vocab) + 1, 4, ["p", "q", "r"], rng_seed=4)
         snapshot = {k: v.copy() for k, v in model_b.params.items()}
-        train_on_sentences(model_a, pseudo, corpus, vocab, TrainConfig(epochs=3))
+        fit(model_a, rows, vocab, TrainConfig(epochs=3), seed=0)
         assert all(np.array_equal(snapshot[k], model_b.params[k]) for k in snapshot)
 
 
 class TestFinetune:
-    def _phrases(self, corpus):
-        return {
-            "s0:0-1": Phrase("s0:0-1", "s0", (0, 1), "fast car", "dependency"),
-            "s1:0-1": Phrase("s1:0-1", "s1", (0, 1), "slow bus", "dependency"),
-        }
+    """fit on phrase rows, as the finetune-phrases stage builds them: the
+    sentence with the phrase's covering span."""
 
     def test_background_moves_toward_uniform(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
-        phrases = self._phrases(corpus)
+        phrases = [Phrase("s0:0-1", "s0", (0, 1), "fast car", "dependency"),
+                   Phrase("s1:0-1", "s1", (0, 1), "slow bus", "dependency")]
         model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=6)
-        labels = [PseudoPhraseLabel.background(pid, 2) for pid in phrases]
-        inputs = [phrase_input(vocab, corpus[i], phrases[pid]) for i, pid in enumerate(sorted(phrases))]
+        uniform = PseudoPhraseLabel.background("p", 2).distribution
+        rows = [(sent, phrase_span(phrase), uniform) for sent, phrase in zip(corpus, phrases)]
+        inputs = [phrase_input(vocab, sent, phrase) for sent, phrase in zip(corpus, phrases)]
         before = np.mean([model.predict(i).max() for i in inputs])
-        finetune_on_phrases(model, labels, phrases, corpus, vocab,
-                            TrainConfig(learning_rate=0.5, epochs=40), seed=0)
+        fit(model, rows, vocab, TrainConfig(learning_rate=0.5, epochs=40), seed=0)
         after = np.mean([model.predict(i).max() for i in inputs])
         assert after < before
 
@@ -340,17 +335,7 @@ class TestFinetune:
         vocab = build_vocab(corpus, 1)
         model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=6)
         before = {k: v.copy() for k, v in model.params.items()}
-        finetune_on_phrases(model, [], {}, corpus, vocab, TrainConfig())
-        assert all(np.array_equal(before[k], model.params[k]) for k in before)
-
-    def test_excluded_labels_skipped(self):
-        corpus = _toy_corpus()
-        vocab = build_vocab(corpus, 1)
-        phrases = self._phrases(corpus)
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=6)
-        before = {k: v.copy() for k, v in model.params.items()}
-        labels = [PseudoPhraseLabel.excluded(pid) for pid in phrases]
-        finetune_on_phrases(model, labels, phrases, corpus, vocab, TrainConfig())
+        fit(model, [], vocab, TrainConfig(), seed=0)
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
 

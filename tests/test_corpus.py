@@ -1,5 +1,8 @@
 """Corpus ingestion: CoNLL-U parsing, bracketed trees, schemas, vocabulary."""
 
+import json
+import re
+
 import pytest
 
 from opinionsum.corpus import (
@@ -11,6 +14,7 @@ from opinionsum.corpus import (
     attach_trees,
     build_vocab,
     load_corpus,
+    load_manifest,
     load_schema,
     parse_bracketed_tree,
     parse_conllu,
@@ -106,6 +110,23 @@ class TestParseConllu:
         back = sentence_from_json(sentence_to_json(s))
         assert (back.id, back.review_id, back.target_id, back.tokens) == (s.id, s.review_id, s.target_id, s.tokens)
         assert back.deps == [] and back.tree is None
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"id": ["a1"]}, {"target_id": 3}, {"review_id": None}, {"tokens": "the"}, {"tokens": []},
+         {"tokens": [["the", "DT", "x"]]}, {"tokens": [[7, "DT"]]}, {"tokens": [["the", None]]}, {"tokens": ["the"]}],
+    )
+    def test_json_rejects_row_off_the_manifest(self, edit):
+        row = {**json.loads(sentence_to_json(parse_conllu(SIMPLE)[0])), **edit}
+        with pytest.raises(ValueError, match="expected string id, target_id and review_id"):
+            sentence_from_json(json.dumps(row))
+
+    def test_manifest_rejects_a_repeated_id(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        row = sentence_to_json(parse_conllu(SIMPLE)[0])
+        path.write_text(f"{row}\n\n{row}\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: ") + ".*duplicate id 'a1'"):
+            load_manifest(path)
 
 
 class TestParseBracketedTree:

@@ -192,7 +192,7 @@ class TestJointAgreement:
             (PseudoPhraseLabel.background("b", 4), 4),
             (PseudoPhraseLabel.excluded("c"), 2),
         ):
-            again = PseudoPhraseLabel.from_json(label.to_json(), n_categories)
+            again = PseudoPhraseLabel.from_json(label.to_json(), n_categories, {"a", "b", "c"})
             assert again.outcome == label.outcome and again.phrase_id == label.phrase_id
             if label.distribution is None:
                 assert again.distribution is None
@@ -204,7 +204,7 @@ class TestJointAgreement:
         labels = (PseudoPhraseLabel.soft("a", np.array([bad, 0.3])), PseudoSentenceLabel("s", np.array([0.5, bad])))
         for label in labels:
             with pytest.raises(ValueError, match="finite"):
-                type(label).from_json(label.to_json(), 2)
+                type(label).from_json(label.to_json(), 2, {"a", "s"})
 
     @pytest.mark.parametrize(
         "distribution, match",
@@ -215,11 +215,11 @@ class TestJointAgreement:
         rows = ({"id": "s", "distribution": distribution}, {"id": "a", "outcome": SOFT, "distribution": distribution})
         for cls, row in zip((PseudoSentenceLabel, PseudoPhraseLabel), rows):
             with pytest.raises(ValueError, match=match):
-                cls.from_json(json.dumps(row), 2)
+                cls.from_json(json.dumps(row), 2, {"a", "s"})
 
     def test_json_accepts_sums_within_1e_9(self):
         row = json.dumps({"id": "s", "distribution": [0.5 + 9e-10, 0.5]})
-        assert PseudoSentenceLabel.from_json(row, 2).distribution.sum() == pytest.approx(1.0, abs=1e-9)
+        assert PseudoSentenceLabel.from_json(row, 2, {"s"}).distribution.sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "outcome, distribution",
@@ -228,7 +228,16 @@ class TestJointAgreement:
     def test_json_rejects_outcome_off_the_rules(self, outcome, distribution):
         row = json.dumps({"id": "a", "outcome": outcome, "distribution": distribution})
         with pytest.raises(ValueError, match="expected outcome soft, background or excluded"):
-            PseudoPhraseLabel.from_json(row, 2)
+            PseudoPhraseLabel.from_json(row, 2, {"a"})
+
+    def test_json_rejects_id_naming_no_manifest_row(self):
+        """A label's id must be a string naming a sentence (or phrase) of
+        the manifest, whose ids the reader is given."""
+        for bad in ["ghost", ["s"], 3, None]:
+            for cls, row in ((PseudoSentenceLabel, {"distribution": [0.5, 0.5]}),
+                             (PseudoPhraseLabel, {"outcome": EXCLUDED, "distribution": None})):
+                with pytest.raises(ValueError, match="names no (sentence|phrase) of the manifest"):
+                    cls.from_json(json.dumps({"id": bad, **row}), 2, {"s": None, "a": None})
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 """The README and packaging metadata agree with the code."""
 
+import importlib
 import re
 from fnmatch import fnmatchcase
 from dataclasses import fields, is_dataclass
@@ -60,6 +61,22 @@ def test_readme_config_table_lists_every_key_and_flag():
     for flag, path, _ in _CONFIG_FLAGS:
         assert flag in flags_of[".".join(path)], flag
     assert sorted(f for _, flags in rows for f in flags) == sorted(flag for flag, _, _ in _CONFIG_FLAGS)
+
+
+def test_readme_code_imports_resolve():
+    """Every name a README code block imports from the package exists, so a
+    rename cannot leave the README stale."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = "".join(re.findall(r"^```\w*\n(.*?)^```", text, flags=re.M | re.S))
+    imports = [
+        (module, name.strip())
+        for module, names in re.findall(r"^from (opinionsum[\w.]*) import (\([^)]*\)|.*)$", code, flags=re.M)
+        for name in names.strip("()").split(",")
+        if name.strip()
+    ]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_pyproject_version_matches_package():

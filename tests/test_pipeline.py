@@ -29,7 +29,7 @@ from opinionsum.pipeline import (
     seed_for,
 )
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
-from util import rewrite_arrayfile
+from util import phrase_input, rewrite_arrayfile
 
 
 def _small_config(data_dir, workdir, seed=1) -> PipelineConfig:
@@ -164,7 +164,7 @@ class TestFullRun:
 
 class TestPhraseVectors:
     def test_rows_are_finetuned_aspect_encodings(self, ran):
-        from opinionsum.classifier import load_checkpoint, phrase_input
+        from opinionsum.classifier import load_checkpoint
         from opinionsum.corpus import Vocabulary, load_manifest
         from opinionsum.extraction import phrase_from_json
 
@@ -367,6 +367,19 @@ def _not_utf8_at(line):
     return damage
 
 
+def _repeat_previous_at(line):
+    """Damage: overwrite one line of a JSON-lines file with the line before
+    it, so the file keeps its row count and holds one id twice."""
+
+    def damage(path):
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 2]
+        path.write_text("\n".join(lines) + "\n")
+        return line
+
+    return damage
+
+
 def _cut_last_line(path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
@@ -435,6 +448,26 @@ class TestDamagedArtifacts:
             ("classifier_aspect.ckpt", _nan_first_value, "phrase-labels"),
             ("classifier_aspect_ft.ckpt", _nan_first_value, "classify"),
             ("phrase_vectors.bin", _nan_first_value, "cluster"),
+            # an id that names no manifest row, a manifest row off its format, and a repeated id
+            pytest.param("pseudo_sentences_aspect.jsonl", _edit_row(lambda row: row.update(id=["x"]), 2),
+                         "train-classifier", id="sentence-label-list-id"),
+            pytest.param("pseudo_sentences_aspect.jsonl", _edit_row(lambda row: row.update(id="nope"), 2),
+                         "train-classifier", id="sentence-label-unknown-id"),
+            pytest.param("phrase_labels_aspect.jsonl", _edit_row(lambda row: row.update(id="nope"), 2),
+                         "finetune-phrases", id="phrase-label-unknown-id"),
+            pytest.param("corpus.jsonl", _edit_row(lambda row: row["tokens"][0].__setitem__(0, 7), 2),
+                         "train-classifier", id="manifest-int-surface"),
+            pytest.param("corpus.jsonl", _edit_row(lambda row: row.update(id=["x"]), 2), "phrase-labels",
+                         id="manifest-list-id"),
+            pytest.param("corpus.jsonl", _repeat_previous_at(3), "train-classifier", id="manifest-repeated-id"),
+            pytest.param("phrases.jsonl", _edit_row(lambda row: row.update(id=["x"]), 2), "finetune-phrases",
+                         id="phrase-list-id"),
+            pytest.param("phrases.jsonl", _repeat_previous_at(3), "classify", id="phrase-repeated-id"),
+            pytest.param("classified.jsonl", _edit_row(lambda row: row.update(aspect=["x"]), 2), "cluster",
+                         id="classified-list-aspect"),
+            pytest.param("classified.jsonl", _edit_row(lambda row: row.update(target_id=["x"]), 2), "cluster",
+                         id="classified-list-target"),
+            pytest.param("classified.jsonl", _repeat_previous_at(3), "cluster", id="classified-repeated-id"),
         ],
     )
     def test_exits_1_naming_the_file(self, ran, tmp_path, capsys, artifact, damage, command):
@@ -463,6 +496,31 @@ class TestDamagedArtifacts:
         assert pipeline._phrase_row(json.dumps({**row, "indices": [0, 2]}), sentences).token_indices == (0, 2)
         with pytest.raises(ValueError, match="strictly ascending"):
             pipeline._phrase_row(json.dumps({**row, "indices": indices}), sentences)
+
+
+class TestFinetuneStage:
+    def test_excluded_labels_skipped(self, ran, tmp_path):
+        """Excluded labels carry no target: with every label Excluded the
+        fine-tuned checkpoint keeps the base checkpoint's parameters."""
+        from opinionsum.classifier import load_checkpoint
+
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+        w = Path(copy.workdir)
+        for kind in ("aspect", "sentiment"):
+            base = load_checkpoint(w / f"classifier_{kind}.ckpt").params
+            tuned = load_checkpoint(w / f"classifier_{kind}_ft.ckpt").params
+            assert not np.array_equal(base["wo"], tuned["wo"])  # the run trained on its Soft and Background labels
+            path = w / f"phrase_labels_{kind}.jsonl"
+            rows = [{"id": row["id"], "outcome": "excluded", "distribution": None} for row in _read_jsonl(path)]
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        run_stage(copy, "finetune-phrases")
+        for kind in ("aspect", "sentiment"):
+            base = load_checkpoint(w / f"classifier_{kind}.ckpt").params
+            tuned = load_checkpoint(w / f"classifier_{kind}_ft.ckpt").params
+            assert all(np.array_equal(base[name], tuned[name]) for name in base)
+        metrics = json.loads((w / ".meta" / "finetune-phrases.json").read_text())["metrics"]
+        assert [metrics[kind]["batches"] for kind in ("aspect", "sentiment")] == [0, 0]
 
 
 class TestResume:

@@ -5,7 +5,15 @@ import math
 
 import numpy as np
 
-from opinionsum.classifier import _CLIP_NORM, _positions, _softmax_rows, _span_of, phrase_span, token_ids
+from opinionsum.classifier import (
+    _CLIP_NORM,
+    ClassifierInput,
+    _positions,
+    _softmax_rows,
+    _span_of,
+    phrase_span,
+    token_ids,
+)
 from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
 from opinionsum.distill import distill_loss
 from opinionsum.embedding import (
@@ -27,6 +35,12 @@ def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"
     deps = [DepArc(h, d, r) for h, d, r in arcs]
     parsed = parse_bracketed_tree(tree) if isinstance(tree, str) else tree
     return Sentence(sid, target, review, tokens, deps, parsed)
+
+
+def phrase_input(vocab, sentence, phrase):
+    """The classifier input of a phrase: its whole sentence with the
+    phrase's covering span marked."""
+    return ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), phrase_span(phrase))
 
 
 def rewrite_arrayfile(path, edit):
