@@ -87,7 +87,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 class ReferenceEncoder:
-    def __init__(self, vocab_size: int, dim: int, categories: list[str], rng_seed: int = 0):
+    def __init__(self, vocab_size: int, dim: int, categories: list[str], seed: int = 0):
         if dim < 2 or dim % 2:
             raise ValueError("dim must be even and >= 2")
         if len(categories) < 2:
@@ -95,7 +95,7 @@ class ReferenceEncoder:
         self.vocab_size = vocab_size
         self.dim = dim
         self.categories = list(categories)
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         self.params = {
             "emb": rng.normal(0.0, scale, (vocab_size, dim)),
@@ -294,6 +294,7 @@ def classify_phrase(y: np.ndarray, theta2: float, categories: list[str]) -> str 
 
 
 CHECKPOINT_FORMAT = "refenc-v2"  # the checkpoint's arrayfile kind
+_CHECKPOINT_KEYS = ("vocab_size", "dim", "categories")  # its header: ReferenceEncoder's arguments, in order
 
 
 def _checkpoint_layout(header: dict) -> list:
@@ -302,25 +303,17 @@ def _checkpoint_layout(header: dict) -> list:
     return [[name, "<f4", shape] for name, shape in zip(_PARAM_ORDER, shapes)]
 
 
-def save_checkpoint(model: ReferenceEncoder, path, rng_seed: int = 0, schema_sha256: str = "") -> None:
+def save_checkpoint(model: ReferenceEncoder, path) -> None:
     """The parameter arrays as float32 in the arrayfile container, in the
-    order of _PARAM_ORDER; the header holds the dims, the category names, the
-    schema hash and the seed."""
-    meta = {
-        "dim": model.dim,
-        "vocab_size": model.vocab_size,
-        "categories": model.categories,
-        "schema_sha256": schema_sha256,
-        "rng_seed": rng_seed,
-    }
+    order of _PARAM_ORDER; the header holds what load_checkpoint reads."""
+    meta = {key: getattr(model, key) for key in _CHECKPOINT_KEYS}
     save_arrays(path, CHECKPOINT_FORMAT, meta, [(name, "<f4", model.params[name]) for name in _PARAM_ORDER])
 
 
 def load_checkpoint(path) -> ReferenceEncoder:
-    keys = ("vocab_size", "dim", "categories")
-    header, arrays = load_arrays(path, CHECKPOINT_FORMAT, keys, _checkpoint_layout)
+    header, arrays = load_arrays(path, CHECKPOINT_FORMAT, _CHECKPOINT_KEYS, _checkpoint_layout)
     try:
-        model = ReferenceEncoder(*(header[key] for key in keys))
+        model = ReferenceEncoder(*(header[key] for key in _CHECKPOINT_KEYS))
     except ValueError as exc:  # a self-consistent layout of dims the encoder rejects
         raise CorpusError(f"{path}: {exc}") from None
     model.params = dict(zip(_PARAM_ORDER, arrays))

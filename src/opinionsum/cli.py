@@ -2,8 +2,7 @@
 
 One subcommand per pipeline stage plus `run` (all stages, resumable),
 `synth` (planted corpus generator), and `eval` utilities.  Values come from
-defaults, then the --config JSON file, then the OPINIONSUM_SEED environment
-variable (seed only), then flags; flags win.
+defaults, then the --config JSON file, then flags; flags win.
 
 Exit codes: 0 ok, 1 validation error, 2 stage failure.
 """
@@ -11,7 +10,6 @@ Exit codes: 0 ok, 1 validation error, 2 stage failure.
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,8 +20,6 @@ from .pipeline import STAGES, PipelineConfig, StageError, ValidationError, run_p
 from .synthetic import SyntheticSpec, generate_synthetic
 
 log = logging.getLogger("opinionsum")
-
-_SEED_ENV = "OPINIONSUM_SEED"
 
 # (flag, path into the config dict, argparse keyword arguments); a flag's
 # dest is its name without the leading dashes, '-' as '_' (--embed-lr -> embed_lr)
@@ -83,16 +79,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, dest=_dest(flag), **kwargs)
 
 
-def _env_seed() -> int | None:
-    value = os.environ.get(_SEED_ENV)
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"{_SEED_ENV} must be an integer, got {value!r}") from None
-
-
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -106,9 +92,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
             PipelineConfig.from_dict(data)  # so that a bad key or value names the file
         except ValueError as exc:
             raise ValidationError(f"config file {path}: {exc}") from None
-    seed = _env_seed()
-    if seed is not None:
-        data["seed"] = seed
     for flag, keys, _ in _CONFIG_FLAGS:
         value = getattr(args, _dest(flag), None)
         if value is None:
@@ -144,8 +127,7 @@ def _cmd_stage(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
-    seed = args.seed if args.seed is not None else _env_seed() or 0
-    paths = generate_synthetic(spec, seed, args.out)
+    paths = generate_synthetic(spec, args.seed, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
@@ -296,7 +278,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--out", required=True)
     for f in fields(SyntheticSpec):
         p_synth.add_argument(_SYNTH_FLAGS[f.name], dest=f.name, type=f.type, default=f.default)
-    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.set_defaults(handler=_cmd_synth)
 
     p_eval = sub.add_parser("eval", help="evaluation utilities")

@@ -5,7 +5,6 @@ constituency trees produced by an external parser, loads keyword-seeded
 category schemas, and builds the training vocabulary.
 """
 
-import hashlib
 import json
 import re
 from collections import Counter
@@ -56,14 +55,6 @@ class ConstNode:
 
     def is_leaf(self) -> bool:
         return not self.children
-
-    def leaves(self) -> list["ConstNode"]:
-        if self.is_leaf():
-            return [self]
-        out = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
 
     def to_bracketed(self) -> str:
         if self.is_leaf():
@@ -120,10 +111,6 @@ class CategorySchema:
         for _, keywords in self.categories:
             out.extend(keywords)
         return out
-
-    def fingerprint(self) -> str:
-        blob = json.dumps([self.kind, self.categories], sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -307,45 +294,40 @@ def parse_bracketed_tree(text: str) -> ConstNode:
     toks = [(m.start(), m.group()) for m in _TREE_TOKENS.finditer(text)]
     if not toks:
         raise CorpusError("offset 0: empty tree text")
-    pos = 0
-
-    def parse_node(leaf_at: int) -> tuple[ConstNode, int]:
-        nonlocal pos
-        off, t = toks[pos]
-        if t != "(":
-            raise CorpusError(f"offset {off}: expected '('")
-        pos += 1
-        label_off, label = toks[pos]
-        if label in ("(", ")"):
-            raise CorpusError(f"offset {label_off}: expected constituent label")
-        pos += 1
-        children: list[ConstNode] = []
-        words: list[tuple[int, str]] = []
-        end = leaf_at
-        while True:
-            t_off, t = toks[pos]
-            if t == ")":
-                pos += 1
-                break
-            if t == "(":
-                child, end = parse_node(end)
-                children.append(child)
+    if toks[0][1] != "(":
+        raise CorpusError(f"offset {toks[0][0]}: expected '('")
+    # one frame per open constituent: its offset, label, first leaf, children and words
+    stack: list[tuple[int, str, int, list[ConstNode], list[tuple[int, str]]]] = []
+    n_leaves = 0  # leaves closed so far: the next leaf's index
+    for pos, (off, t) in enumerate(toks):
+        if t == "(":
+            if not stack and pos:
+                raise CorpusError(f"offset {off}: trailing text after tree")
+            label_off, label = toks[pos + 1]  # the balance check leaves a ')' after every '('
+            if label in ("(", ")"):
+                raise CorpusError(f"offset {label_off}: expected constituent label")
+            stack.append((off, label, n_leaves, [], []))
+        elif t == ")":
+            open_off, label, leaf_at, children, words = stack.pop()
+            if children and words:
+                raise CorpusError(f"offset {words[0][0]}: constituent mixes words and subconstituents")
+            if words:
+                if len(words) > 1:
+                    raise CorpusError(f"offset {words[1][0]}: leaf constituent with more than one word")
+                node = ConstNode(label, (leaf_at, leaf_at + 1), [], words[0][1])
+                n_leaves += 1
+            elif not children:
+                raise CorpusError(f"offset {open_off}: empty constituent {label!r}")
             else:
-                words.append((t_off, t))
-                pos += 1
-        if children and words:
-            raise CorpusError(f"offset {words[0][0]}: constituent mixes words and subconstituents")
-        if words:
-            if len(words) > 1:
-                raise CorpusError(f"offset {words[1][0]}: leaf constituent with more than one word")
-            return ConstNode(label, (leaf_at, leaf_at + 1), [], words[0][1]), leaf_at + 1
-        if not children:
-            raise CorpusError(f"offset {off}: empty constituent {label!r}")
-        return ConstNode(label, (leaf_at, end), children), end
-
-    root, _ = parse_node(0)
-    if pos != len(toks):
-        raise CorpusError(f"offset {toks[pos][0]}: trailing text after tree")
+                node = ConstNode(label, (leaf_at, n_leaves), children)
+            if stack:
+                stack[-1][3].append(node)
+            else:
+                root = node
+        elif not stack:
+            raise CorpusError(f"offset {off}: trailing text after tree")
+        elif toks[pos - 1][1] != "(":  # not the label, which the '(' read
+            stack[-1][4].append((off, t))
     return root
 
 
@@ -366,10 +348,8 @@ def attach_trees(sentences: list[Sentence], tree_lines: Iterable[str]) -> None:
         except CorpusError as exc:
             raise CorpusError(exc.message, line_no) from None
         n = len(sent.tokens)
-        if tree.span != (0, n) or len(tree.leaves()) != n:
-            raise CorpusError(
-                f"sentence {sent.id}: tree has {len(tree.leaves())} leaves for {n} tokens", line_no
-            )
+        if tree.span != (0, n):  # the parser spans the root over every leaf
+            raise CorpusError(f"sentence {sent.id}: tree has {tree.span[1]} leaves for {n} tokens", line_no)
         sent.tree = tree
 
 

@@ -108,7 +108,7 @@ def _phrase_words(phrase: str) -> set[str]:
 
 
 def make_intrusion_set(
-    clusters: list[list[str]], rng_seed: int, set_id: str | None = None
+    clusters: list[list[str]], seed: int, set_id: str | None = None
 ) -> IntrusionSet | None:
     """Sample one intrusion set, or None when no qualifying combination
     exists.
@@ -118,7 +118,7 @@ def make_intrusion_set(
     containing it and shuffles them.  Deterministic under the seed; the
     search over clusters and shared words is exhaustive before giving up.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     if len(clusters) < 2:
         return None
     eligible = [i for i, c in enumerate(clusters) if len(c) >= 5]
@@ -147,7 +147,7 @@ def make_intrusion_set(
         shuffled = [six[p] for p in perm]
         answer = int(np.nonzero(perm == 5)[0][0])
         return IntrusionSet(
-            set_id if set_id is not None else f"intrusion-{rng_seed}",
+            set_id if set_id is not None else f"intrusion-{seed}",
             [p for i, p in enumerate(shuffled) if i != answer],
             intruder,
             word,

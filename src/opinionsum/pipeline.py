@@ -12,6 +12,7 @@ three training stages train their aspect and sentiment models in two forked
 worker processes, one per schema.
 """
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -23,6 +24,8 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .arrayfile import load_arrays, save_arrays
 from .classifier import (
@@ -191,6 +194,24 @@ def _run_extract(cfg: PipelineConfig):
     _write_lines(w / "phrases.jsonl", [phrase_to_json(p) for phrases in phrase_lists for p in phrases])
 
 
+def _numpy_openblas():
+    """The scipy-openblas library that numpy's wheels bundle, loaded, or None
+    when numpy uses another BLAS."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # the handle of the copy numpy loaded
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _one_blas_thread():
+    lib = _numpy_openblas()
+    if lib is not None:
+        set_threads = lib.scipy_openblas_set_num_threads64_  # void (int), as openblas_set_num_threads
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def _per_kind(body, cfg: PipelineConfig) -> dict:
     """Run body(cfg, kind) for each kind in its own forked process; returns
     {kind: the body's metrics}.
@@ -201,8 +222,10 @@ def _per_kind(body, cfg: PipelineConfig) -> dict:
     inputs from the workdir and writes its own artifact.  fork, not spawn:
     the workers inherit the imported package instead of importing it again
     (spawn cost 0.3-1 s more per stage call), and the pool forks both workers
-    before it starts its own manager thread."""
-    with ProcessPoolExecutor(len(_KINDS), mp_context=multiprocessing.get_context("fork")) as pool:
+    before it starts its own manager thread.  Each worker runs BLAS on one
+    thread, so that the two do not oversubscribe the cores."""
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(_KINDS), mp_context=fork, initializer=_one_blas_thread) as pool:
         return dict(zip(_KINDS, pool.map(body, [cfg] * len(_KINDS), _KINDS)))
 
 
@@ -236,13 +259,9 @@ def _run_train_classifier(cfg: PipelineConfig, kind: str) -> dict:
         w / f"pseudo_sentences_{kind}.jsonl", lambda line: PseudoSentenceLabel.from_json(line, n, sentences)
     )
     model = ReferenceEncoder(len(vocab) + 1, cfg.encoder_dim, schema.names, seed_for(cfg.seed, "classifier", kind))
-    seed = seed_for(cfg.seed, "train", kind)
     rows = [(sentences[label.sentence_id], None, label.distribution) for label in labels]  # the whole sentence
-    trajectory = fit(model, rows, vocab, cfg.train, seed)
-    _atomic_save(
-        w / f"classifier_{kind}.ckpt",
-        lambda p: save_checkpoint(model, p, seed, schema.fingerprint()),
-    )
+    trajectory = fit(model, rows, vocab, cfg.train, seed_for(cfg.seed, "train", kind))
+    _atomic_save(w / f"classifier_{kind}.ckpt", lambda p: save_checkpoint(model, p))
     return {"parameters": model.parameter_count(), "batches": len(trajectory), "last_loss": (trajectory or [None])[-1]}
 
 
@@ -295,7 +314,6 @@ def _run_finetune(cfg: PipelineConfig, kind: str) -> dict:
     model = load_checkpoint(w / f"classifier_{kind}.ckpt")
     n = len(model.categories)  # the schema's, in its order
     labels = read_jsonl(w / f"phrase_labels_{kind}.jsonl", lambda line: PseudoPhraseLabel.from_json(line, n, by_id))
-    seed = seed_for(cfg.seed, "finetune", kind)
     # each phrase's sentence, pooled over its covering span.  Excluded labels are
     # skipped; Background labels train toward the uniform distribution they carry
     rows = []
@@ -303,8 +321,8 @@ def _run_finetune(cfg: PipelineConfig, kind: str) -> dict:
         if label.distribution is not None:
             phrase = by_id[label.phrase_id]
             rows.append((sentences[phrase.sentence_id], phrase_span(phrase), label.distribution))
-    trajectory = fit(model, rows, vocab, cfg.train, seed)
-    _atomic_save(w / f"classifier_{kind}_ft.ckpt", lambda p: save_checkpoint(model, p, seed))
+    trajectory = fit(model, rows, vocab, cfg.train, seed_for(cfg.seed, "finetune", kind))
+    _atomic_save(w / f"classifier_{kind}_ft.ckpt", lambda p: save_checkpoint(model, p))
     return {"batches": len(trajectory), "last_loss": (trajectory or [None])[-1]}
 
 

@@ -151,7 +151,7 @@ def test_02_gradient_correctness():
     worst_embed = max(worst_embed, _rel_err(d_sent, _fd_scalar(pair, sent)))
     worst_embed = max(worst_embed, _rel_err(d_cat, _fd_scalar(pair, cat)))
 
-    model = ReferenceEncoder(6, 4, ["a", "b", "c"], rng_seed=1)
+    model = ReferenceEncoder(6, 4, ["a", "b", "c"], seed=1)
     items = []
     for _ in range(3):
         length = int(rng.integers(1, 4))

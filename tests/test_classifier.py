@@ -38,7 +38,7 @@ from util import (
 
 
 def _model(dim=4, vocab=7, cats=("a", "b", "c"), seed=0):
-    return ReferenceEncoder(vocab, dim, list(cats), rng_seed=seed)
+    return ReferenceEncoder(vocab, dim, list(cats), seed=seed)
 
 
 def _inputs(rng, n_items, vocab=7, max_len=5):
@@ -145,7 +145,7 @@ class TestEncodeSpans:
         # 1 or 2 sentences a pass split the repeated lengths over several passes
         for dim, seed, stack_rows in [(4, 11, 2), (8, 3, 1), (32, 5, classifier._STACK_ROWS)]:
             monkeypatch.setattr(classifier, "_STACK_ROWS", stack_rows)
-            model = ReferenceEncoder(len(vocab) + 1, dim, ["x", "y", "z"], rng_seed=seed)
+            model = ReferenceEncoder(len(vocab) + 1, dim, ["x", "y", "z"], seed=seed)
             ys, pooled = encode_phrases(model, vocab, sentences, phrases)
             ref_ys, ref_pooled = naive_encode_phrases(model, vocab, sentences, phrases)
             assert ys.shape == (len(phrases), 3) and pooled.shape == (len(phrases), dim)
@@ -158,7 +158,7 @@ class TestEncodeSpans:
     def test_out_of_bounds_span_rejected(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=3)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], seed=3)
         sentences = {s.id: s for s in corpus}
         ok = Phrase("s0:0", "s0", (0,), "fast", "dependency")
         for bad in [(2,), (1, 2), (-1, 0)]:
@@ -169,7 +169,7 @@ class TestEncodeSpans:
     def test_encode_phrases_keeps_phrase_order_across_sentences(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=3)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], seed=3)
         phrases = [
             Phrase("s1:0-1", "s1", (0, 1), "slow bus", "dependency"),
             Phrase("s0:1", "s0", (1,), "car", "dependency"),
@@ -273,7 +273,7 @@ class TestTraining:
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
         rows = [(corpus[0], None, np.array([0.9, 0.1])), (corpus[1], None, np.array([0.1, 0.9]))]
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=2)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], seed=2)
         return model, rows, vocab
 
     def test_loss_decreases(self):
@@ -306,7 +306,7 @@ class TestTraining:
 
     def test_independent_instances_share_no_state(self):
         model_a, rows, vocab = self._setup()
-        model_b = ReferenceEncoder(len(vocab) + 1, 4, ["p", "q", "r"], rng_seed=4)
+        model_b = ReferenceEncoder(len(vocab) + 1, 4, ["p", "q", "r"], seed=4)
         snapshot = {k: v.copy() for k, v in model_b.params.items()}
         fit(model_a, rows, vocab, TrainConfig(epochs=3), seed=0)
         assert all(np.array_equal(snapshot[k], model_b.params[k]) for k in snapshot)
@@ -321,7 +321,7 @@ class TestFinetune:
         vocab = build_vocab(corpus, 1)
         phrases = [Phrase("s0:0-1", "s0", (0, 1), "fast car", "dependency"),
                    Phrase("s1:0-1", "s1", (0, 1), "slow bus", "dependency")]
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=6)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], seed=6)
         uniform = PseudoPhraseLabel.background("p", 2).distribution
         rows = [(sent, phrase_span(phrase), uniform) for sent, phrase in zip(corpus, phrases)]
         inputs = [phrase_input(vocab, sent, phrase) for sent, phrase in zip(corpus, phrases)]
@@ -333,7 +333,7 @@ class TestFinetune:
     def test_empty_input_unchanged(self):
         corpus = _toy_corpus()
         vocab = build_vocab(corpus, 1)
-        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], rng_seed=6)
+        model = ReferenceEncoder(len(vocab) + 1, 4, ["x", "y"], seed=6)
         before = {k: v.copy() for k, v in model.params.items()}
         fit(model, [], vocab, TrainConfig(), seed=0)
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
@@ -368,7 +368,7 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = _model(dim=6, vocab=9, cats=("a", "b"), seed=12)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path, rng_seed=12, schema_sha256="abc123")
+        save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert again.categories == model.categories
         assert again.dim == model.dim and again.vocab_size == model.vocab_size
@@ -393,9 +393,11 @@ class TestCheckpoint:
 
     def test_header_records_float32_layout(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(_model(dim=4, vocab=7, cats=("a", "b")), path, rng_seed=3, schema_sha256="abc")
+        save_checkpoint(_model(dim=4, vocab=7, cats=("a", "b")), path)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["kind"] == CHECKPOINT_FORMAT and header["rng_seed"] == 3 and header["schema_sha256"] == "abc"
+        assert header.keys() == {"kind", "arrays", "dim", "vocab_size", "categories"}
+        assert header["kind"] == CHECKPOINT_FORMAT and (header["dim"], header["vocab_size"]) == (4, 7)
+        assert header["categories"] == ["a", "b"]
         assert header["arrays"] == [
             ["emb", "<f4", [7, 4]], ["wq", "<f4", [4, 4]], ["wk", "<f4", [4, 4]],
             ["wv", "<f4", [4, 4]], ["wo", "<f4", [4, 2]], ["bo", "<f4", [2]],

@@ -152,6 +152,14 @@ class TestRun:
         assert "Traceback" not in err and "error: stage" not in err
         assert not list((tmp_path / "work").glob("*.tmp"))
 
+    def test_extract_reads_a_deep_tree(self, tmp_path, capsys):
+        paths = _synth(tmp_path, n=20)
+        lines = paths["trees"].read_text().splitlines()
+        lines[0] = "(S " * 5000 + lines[0] + ")" * 5000
+        paths["trees"].write_text("\n".join(lines) + "\n")
+        assert main(["extract", "--config", str(_config_file(tmp_path, paths))]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_corrupted_vocab_exits_1_naming_file(self, tmp_path, capsys):
         config = _config_file(tmp_path, _synth(tmp_path, n=20))
         assert main(["extract", "--config", str(config)]) == 0
@@ -324,31 +332,20 @@ class TestConfigPrecedence:
         assert cfg.embed.dim == 20
         assert cfg.embed.epochs == 3  # untouched file value
 
-    def test_env_seed_between_file_and_flag(self, tmp_path, monkeypatch):
-        paths = _synth(tmp_path, n=60)
-        config = _config_file(tmp_path, paths)
-        import argparse
-
-        monkeypatch.setenv("OPINIONSUM_SEED", "55")
-        cfg = build_config(argparse.Namespace(config=str(config)))
-        assert cfg.seed == 55  # env beats file
-        cfg = build_config(argparse.Namespace(config=str(config), seed=66))
-        assert cfg.seed == 66  # flag beats env
-
-
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    def test_bad_env_seed_exits_1_naming_the_variable(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv("OPINIONSUM_SEED", "abc")
-        assert main([command, "--out" if command == "synth" else "--workdir", str(tmp_path / "out")]) == 1
-        assert "OPINIONSUM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "a"), "--sentences", "30", "--seed", "9"])
         main(["synth", "--out", str(tmp_path / "b"), "--sentences", "30", "--seed", "9"])
         assert (tmp_path / "a" / "corpus.conllu").read_bytes() == (tmp_path / "b" / "corpus.conllu").read_bytes()
+
+    def test_seed_defaults_to_0(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "default"), "--sentences", "30"]) == 0
+        assert main(["synth", "--out", str(tmp_path / "zero"), "--sentences", "30", "--seed", "0"]) == 0
+        names = sorted(path.name for path in (tmp_path / "zero").iterdir())
+        assert sorted(path.name for path in (tmp_path / "default").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes(), name
 
     def test_default_flags_write_the_default_spec(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "cli"), "--seed", "7", "--sentences", "40"]) == 0

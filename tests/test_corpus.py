@@ -170,6 +170,14 @@ class TestParseBracketedTree:
         check(tree)
         assert tree.span == (0, 6)
 
+    def test_deep_tree_parses_without_recursion(self):
+        depth = 5000
+        tree = parse_bracketed_tree("(S " * depth + "(NN x)" + ")" * depth)
+        for _ in range(depth):
+            assert tree.label == "S" and tree.span == (0, 1) and len(tree.children) == 1
+            (tree,) = tree.children
+        assert (tree.label, tree.word, tree.span) == ("NN", "x", (0, 1))
+
     def test_bracket_roundtrip(self):
         text = "(S (NP (DT the) (NN dog)) (VP (VBZ runs)))"
         assert parse_bracketed_tree(text).to_bracketed() == text

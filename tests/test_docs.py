@@ -1,14 +1,20 @@
 """The README and packaging metadata agree with the code."""
 
 import importlib
+import json
 import re
 from fnmatch import fnmatchcase
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import opinionsum
+from opinionsum import pipeline
+from opinionsum.classifier import ReferenceEncoder, save_checkpoint
 from opinionsum.cli import _CONFIG_FLAGS
+from opinionsum.corpus import Vocabulary, load_schema
+from opinionsum.embedding import EmbedConfig, init_space, save_space
 from opinionsum.pipeline import STAGES, PipelineConfig
+from opinionsum.synthetic import SyntheticSpec, generate_synthetic
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +45,45 @@ def test_readme_file_formats_name_every_artifact():
     named = [name for cell in re.findall(r"`([^`]+)`", section) for name in _expand(cell)]
     missing = [a for stage in STAGES for a in stage.artifacts if not any(fnmatchcase(a, name) for name in named)]
     assert missing == []
+
+
+def _written_headers(tmp_path) -> list[dict]:
+    """The header of each binary artifact, each written by its own writer:
+    save_space, save_checkpoint and the classify stage's phrase vectors."""
+    paths = generate_synthetic(SyntheticSpec(n_sentences=20), 0, tmp_path / "data")
+    cfg = PipelineConfig(
+        corpus=str(paths["corpus"]),
+        trees=str(paths["trees"]),
+        aspect_schema=str(paths["aspect_schema"]),
+        sentiment_schema=str(paths["sentiment_schema"]),
+        workdir=str(tmp_path / "work"),
+    )
+    w = tmp_path / "work"
+    w.mkdir()
+    pipeline._run_extract(cfg)
+    vocab = Vocabulary.load(w / "vocab.txt")
+    for kind in ("aspect", "sentiment"):  # classify reads both models
+        names = load_schema(cfg.schema_path(kind), kind).names
+        save_checkpoint(ReferenceEncoder(len(vocab) + 1, 4, names), w / f"classifier_{kind}_ft.ckpt")
+    schema = load_schema(cfg.aspect_schema, "aspect")
+    save_space(init_space(vocab, schema, EmbedConfig(dim=4), ["s0"], 0), w / "embed_aspect.bin")
+    pipeline._run_classify(cfg)
+    names = ("embed_aspect.bin", "classifier_aspect_ft.ckpt", "phrase_vectors.bin")
+    return [json.loads((w / name).read_bytes().split(b"\n", 1)[0]) for name in names]
+
+
+def test_readme_file_formats_name_every_header_key(tmp_path):
+    """The binary containers paragraph names the keys every header holds, and
+    each kind's bullet the keys of its own header."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    common, *bullets = section.split("**Binary containers**", 1)[1].split("\n\n", 1)[0].split("\n- ")
+    named = {bullet.split("`", 2)[1]: set(re.findall(r"`([^`]+)`", bullet)) for bullet in bullets}
+    headers = _written_headers(tmp_path)
+    assert sorted(header["kind"] for header in headers) == sorted(named)
+    for header in headers:
+        missing = header.keys() - named[header["kind"]] - set(re.findall(r"`([^`]+)`", common))
+        assert not missing, (header["kind"], sorted(missing))
 
 
 def test_readme_config_table_lists_every_key_and_flag():

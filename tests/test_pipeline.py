@@ -147,6 +147,17 @@ class TestFullRun:
         assert report == {stage.name: "skipped" if stage.name == "extract" else "ran" for stage in pipeline.STAGES}
         assert (w / "summary.json").read_bytes() == (Path(cfg.workdir) / "summary.json").read_bytes()
 
+    def test_checkpoint_headers_hold_only_what_the_reader_reads(self, ran):
+        cfg, _ = ran
+        paths = sorted(Path(cfg.workdir).glob("classifier_*.ckpt"))
+        assert [p.name for p in paths] == [
+            "classifier_aspect.ckpt", "classifier_aspect_ft.ckpt",
+            "classifier_sentiment.ckpt", "classifier_sentiment_ft.ckpt",
+        ]
+        for path in paths:
+            header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+            assert header.keys() == {"kind", "arrays", "dim", "vocab_size", "categories"}, path.name
+
     def test_aspect_and_sentiment_models_are_independent(self, ran):
         # same machinery, two schema instances, no shared weights
         import numpy as np
@@ -688,6 +699,10 @@ class TestResume:
         assert all(status == "ran" for status in report.values())
 
 
+def _blas_threads(cfg, kind) -> int:
+    return pipeline._numpy_openblas().scipy_openblas_get_num_threads64_()
+
+
 class TestWorkers:
     """The training stages run one forked worker per schema."""
 
@@ -713,6 +728,12 @@ class TestWorkers:
                 assert metrics.keys() == keys and metrics == recorded[kind], (stage, kind)
         for name in self._TRAINED:
             assert (tmp_path / "work" / name).read_bytes() == (Path(cfg.workdir) / name).read_bytes(), name
+
+    def test_workers_run_one_blas_thread(self):
+        lib = pipeline._numpy_openblas()
+        if not hasattr(lib, "scipy_openblas_get_num_threads64_"):  # also when lib is None
+            pytest.skip("numpy bundles no scipy-openblas thread-count getter")
+        assert pipeline._per_kind(_blas_threads, None) == {"aspect": 1, "sentiment": 1}
 
     def test_worker_error_is_stage_error(self, tmp_path, monkeypatch):
         def diverge(self):
