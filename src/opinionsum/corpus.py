@@ -18,6 +18,7 @@ from typing import Iterable
 ROOT = -1
 
 _CONLLU_COLS = 10
+MAX_SENTENCE_TOKENS = 512  # BERT's input limit; attention and window pairs grow with its square
 _ID_COMMENT = re.compile(r"#\s*(sent_id|review_id|target_id)\s*=\s*(\S+)\s*$")
 
 
@@ -32,7 +33,6 @@ class CorpusError(ValueError):
 
 @dataclass
 class Token:
-    index: int
     surface: str
     pos: str
 
@@ -44,7 +44,7 @@ class DepArc:
     relation: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)  # the generated == and repr would recurse into a deep tree
 class ConstNode:
     """Constituency tree node; spans are [start, end) token ranges."""
 
@@ -57,11 +57,21 @@ class ConstNode:
         return not self.children
 
     def to_bracketed(self) -> str:
-        if self.is_leaf():
-            if not self.word or "(" in self.word or ")" in self.word:
-                raise CorpusError(f"leaf {self.label} at {self.span} cannot be serialized")
-            return f"({self.label} {self.word})"
-        return "(" + self.label + " " + " ".join(c.to_bracketed() for c in self.children) + ")"
+        out, todo = [], [self]  # nodes still to write, each after its separator, and the ")" closing them
+        while todo:
+            node = todo.pop()
+            if type(node) is str:
+                out.append(node)
+            elif node.is_leaf():
+                if not node.word or "(" in node.word or ")" in node.word:
+                    raise CorpusError(f"leaf {node.label} at {node.span} cannot be serialized")
+                out.append(f"({node.label} {node.word})")
+            else:
+                out.append("(" + node.label)
+                todo.append(")")
+                for child in reversed(node.children):
+                    todo += [child, " "]
+        return "".join(out)
 
 
 @dataclass
@@ -123,7 +133,6 @@ class Vocabulary:
     """
 
     words: list[tuple[str, int]]
-    min_count: int = 1
 
     def __post_init__(self):
         self._ids = {w: i for i, (w, _) in enumerate(self.words)}
@@ -140,22 +149,13 @@ class Vocabulary:
         return self._ids.get(word.casefold())
 
     def save(self, path):
-        lines = [f"min_count {self.min_count}"]
-        lines += [f"{w}\t{c}" for w, c in self.words]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_text("".join(f"{w}\t{c}\n" for w, c in self.words), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with _located(path):
-            lines = _read_text(path).splitlines()
-            if not lines or not lines[0].startswith("min_count "):
-                raise CorpusError("missing min_count header")
-            try:
-                min_count = int(lines[0][len("min_count ") :])
-            except ValueError:
-                raise CorpusError("min_count is not an integer", 1) from None
             words = []
-            for lineno, line in enumerate(lines[1:], start=2):
+            for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
                 if not line:
                     continue
                 try:
@@ -163,7 +163,9 @@ class Vocabulary:
                     words.append((w, int(c)))
                 except ValueError:
                     raise CorpusError(f"expected 'word<TAB>count', got {line!r}", lineno) from None
-            return cls(words, min_count)
+            if not words:  # the schema keywords are always kept
+                raise CorpusError("expected 'word<TAB>count', got no words", 1)
+            return cls(words)
 
 
 def parse_conllu(text: str) -> list[Sentence]:
@@ -192,7 +194,7 @@ def parse_conllu(text: str) -> list[Sentence]:
         if sid in seen_ids:
             raise CorpusError(f"duplicate sentence id {sid!r}", rows[0][0])
         seen_ids.add(sid)
-        tokens = [Token(i, form, pos) for i, (_, form, pos, _, _) in enumerate(rows)]
+        tokens = [Token(form, pos) for _, form, pos, _, _ in rows]
         deps = []
         for i, (line_no, _, _, head, rel) in enumerate(rows):
             if head == 0:
@@ -228,6 +230,8 @@ def parse_conllu(text: str) -> list[Sentence]:
             raise CorpusError(f"bad token id {tok_id!r}", line_no) from None
         if idx != len(rows) + 1:
             raise CorpusError(f"non-contiguous token id {idx}", line_no)
+        if idx > MAX_SENTENCE_TOKENS:
+            raise CorpusError(f"sentence longer than {MAX_SENTENCE_TOKENS} tokens", line_no)
         if not form:
             raise CorpusError("empty FORM", line_no)
         if any(c.isspace() for c in form):
@@ -258,14 +262,14 @@ def sentence_to_conllu(sentence: Sentence) -> str:
         f"# review_id = {sentence.review_id}",
         f"# target_id = {sentence.target_id}",
     ]
-    for tok in sentence.tokens:
-        arc = arc_of.get(tok.index)
+    for i, tok in enumerate(sentence.tokens):
+        arc = arc_of.get(i)
         if arc is None:
-            raise CorpusError(f"sentence {sentence.id}: token {tok.index} has no head")
+            raise CorpusError(f"sentence {sentence.id}: token {i} has no head")
         head = 0 if arc.head == ROOT else arc.head + 1
         lines.append(
             "\t".join(
-                [str(tok.index + 1), tok.surface, "_", "_", tok.pos, "_", str(head), arc.relation, "_", "_"]
+                [str(i + 1), tok.surface, "_", "_", tok.pos, "_", str(head), arc.relation, "_", "_"]
             )
         )
     return "\n".join(lines) + "\n\n"
@@ -397,7 +401,7 @@ def build_vocab(corpus: list[Sentence], min_count: int = 1, keep: Iterable[str] 
     entries = [(w, c) for w, c in counts.items() if c >= min_count or w in kept]
     entries += [(w, 0) for w in kept if w not in counts]
     entries.sort(key=lambda wc: (-wc[1], wc[0]))
-    return Vocabulary(entries, min_count)
+    return Vocabulary(entries)
 
 
 def parse_schema(text: str, kind: str) -> CategorySchema:
@@ -442,7 +446,7 @@ def sentence_from_json(line: str) -> Sentence:
         and all(type(t) is list and len(t) == 2 and type(t[0]) is type(t[1]) is str for t in tokens)
     ):
         raise ValueError("expected string id, target_id and review_id and a non-empty list of [surface, pos] strings")
-    return Sentence(*ids, [Token(i, s, p) for i, (s, p) in enumerate(tokens)], [])
+    return Sentence(*ids, [Token(s, p) for s, p in tokens], [])
 
 
 def unique_id(row, seen: set):

@@ -83,8 +83,6 @@ class SphereSpace:
     word_vecs: np.ndarray  # (n_words, dim)
     sent_vecs: np.ndarray  # (n_sents, dim)
     cat_vecs: np.ndarray  # (n_cats, dim)
-    m_inter: float
-    m_intra: float
 
     def __post_init__(self):
         self._word_ids = {w: i for i, w in enumerate(self.words)}
@@ -140,17 +138,7 @@ def init_space(
         if norm < 1e-12:
             raise ValueError(f"degenerate keyword mean for category {name!r}")
         cat_vecs[ci] = mean / norm
-    return SphereSpace(
-        config.dim,
-        words,
-        list(sentence_ids),
-        schema.names,
-        word_vecs,
-        sent_vecs,
-        cat_vecs,
-        config.m_inter,
-        config.m_intra,
-    )
+    return SphereSpace(config.dim, words, list(sentence_ids), schema.names, word_vecs, sent_vecs, cat_vecs)
 
 
 def _keyword_rows(space: SphereSpace, schema: CategorySchema) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +166,11 @@ def _inter_value_grad(cat_vecs: np.ndarray, m_inter: float) -> tuple[float, np.n
     return value, grad
 
 
-def loss_inter(space: SphereSpace) -> float:
+def loss_inter(space: SphereSpace, m_inter: float) -> float:
     """Hinge penalty for category pairs closer than the inter margin; <= 0."""
     if len(space.cat_names) < 2:
         raise ValueError("need at least 2 categories")
-    return _inter_value_grad(space.cat_vecs, space.m_inter)[0]
+    return _inter_value_grad(space.cat_vecs, m_inter)[0]
 
 
 def _intra_value_grad(
@@ -207,11 +195,11 @@ def _intra_value_grad(
     return value, word_grad, cat_grad
 
 
-def loss_intra(space: SphereSpace, schema: CategorySchema) -> float:
+def loss_intra(space: SphereSpace, schema: CategorySchema, m_intra: float) -> float:
     """Hinge penalty for keywords farther than the intra margin from their
     category; <= 0."""
     kw_ids, kw_cats = _keyword_rows(space, schema)
-    return _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)[0]
+    return _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, m_intra)[0]
 
 
 class _Plan(NamedTuple):
@@ -383,7 +371,7 @@ class SphereTrainer:
         sizes = [len(i), n_kw]
         self._hinge_a = np.repeat([1.0, 0.0], sizes)
         self._hinge_s = np.repeat([-1.0, 1.0], sizes)
-        self._hinge_m = np.repeat([space.m_inter, space.m_intra], sizes)
+        self._hinge_m = np.repeat([config.m_inter, config.m_intra], sizes)
 
         self._plans: list[_Plan] = []
         counts = np.zeros(len(space.words))
@@ -471,9 +459,9 @@ class SphereTrainer:
                 gen_value += self._step(plan, int(assigned[plan.row]), negs[at:end], mark, pos, norm_check)
                 at = end
             n_pairs += at
-        inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
+        inter_v, _ = _inter_value_grad(space.cat_vecs, self.config.m_inter)
         intra_v, _, _ = _intra_value_grad(
-            space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, space.m_intra
+            space.cat_vecs, space.word_vecs, self._kw_ids, self._kw_cats, self.config.m_intra
         )
         return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
@@ -502,7 +490,7 @@ def phrase_similarity(space: SphereSpace, phrases: list[list[str]]) -> list[np.n
 
 
 _SPACE_KIND = "sphere-space"
-_SPACE_KEYS = ("dim", "words", "sent_ids", "cat_names", "m_inter", "m_intra")
+_SPACE_KEYS = ("dim", "words", "sent_ids", "cat_names")
 
 
 def _space_layout(header: dict) -> list:
@@ -512,7 +500,7 @@ def _space_layout(header: dict) -> list:
 
 def save_space(space: SphereSpace, path) -> None:
     """The word, sentence and category tables as float64 in the arrayfile
-    container; the header holds their names, dim and the margins."""
+    container; the header holds their names and dim."""
     meta = {key: getattr(space, key) for key in _SPACE_KEYS}
     tables = [(f"{kind}_vecs", "<f8", getattr(space, f"{kind}_vecs")) for kind in ("word", "sent", "cat")]
     save_arrays(path, _SPACE_KIND, meta, tables)
@@ -520,4 +508,4 @@ def save_space(space: SphereSpace, path) -> None:
 
 def load_space(path) -> SphereSpace:
     h, tables = load_arrays(path, _SPACE_KIND, _SPACE_KEYS, _space_layout)
-    return SphereSpace(h["dim"], h["words"], h["sent_ids"], h["cat_names"], *tables, h["m_inter"], h["m_intra"])
+    return SphereSpace(h["dim"], h["words"], h["sent_ids"], h["cat_names"], *tables)

@@ -293,11 +293,11 @@ def _phrase_inputs(w: Path):
 def _run_phrase_labels(cfg: PipelineConfig):
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
+    words = [[sentences[p.sentence_id].tokens[i].surface for i in p.token_indices] for p in phrases]
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.bin")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")
         ys = encode_phrases(model, vocab, sentences, phrases)[0]
-        words = [[sentences[p.sentence_id].tokens[i].surface for i in p.token_indices] for p in phrases]
         labels = [
             PseudoPhraseLabel.excluded(phrase.id)  # no in-vocab token
             if sim is None

@@ -69,7 +69,7 @@ class _Builder:
 
     def add(self, surface: str, pos: str) -> int:
         idx = len(self.tokens)
-        self.tokens.append(Token(idx, surface, pos))
+        self.tokens.append(Token(surface, pos))
         return idx
 
     def leaf(self, pos: str, idx: int) -> ConstNode:

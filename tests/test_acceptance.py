@@ -174,8 +174,8 @@ def test_03_margin_satisfaction(pipeline_run):
     is closest to its own category."""
     space = load_space(pipeline_run.workdir / "embed_aspect.bin")
     schema = load_schema(pipeline_run.paths["aspect_schema"], "aspect")
-    inter = loss_inter(space)
-    intra = loss_intra(space, schema)
+    inter = loss_inter(space, pipeline_run.cfg.embed.m_inter)
+    intra = loss_intra(space, schema, pipeline_run.cfg.embed.m_intra)
     nearest_ok = True
     for ci, (_, keywords) in enumerate(schema.categories):
         for kw in keywords:
@@ -216,7 +216,7 @@ def test_04_distillation_formulas():
         sent_vecs = np.zeros((n, dim))
         sent_vecs[:, :3] = scores
         sent_vecs[:, 3] = np.sqrt(1.0 - np.sum(scores**2, axis=1))
-        space = SphereSpace(dim, [], ids, ["a", "b", "c"], np.empty((0, dim)), sent_vecs, np.eye(3, dim), 0.7, 0.5)
+        space = SphereSpace(dim, [], ids, ["a", "b", "c"], np.empty((0, dim)), sent_vecs, np.eye(3, dim))
         for k in (1, 7, n, n + 50):
             got = select_topk(space, ids, k)
             for ci in range(3):

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import opinionsum
 from opinionsum import pipeline
 from opinionsum.cli import _SYNTH_FLAGS, _build_parser, build_config, main
 from opinionsum.embedding import TrainingError
@@ -159,6 +164,30 @@ class TestRun:
         paths["trees"].write_text("\n".join(lines) + "\n")
         assert main(["extract", "--config", str(_config_file(tmp_path, paths))]) == 0
         assert "error" not in capsys.readouterr().err
+
+    def test_overlong_sentence_exits_1_under_a_memory_limit(self, tmp_path):
+        """A 1,500-token sentence is rejected at read, naming the line of its
+        513th token, in a run whose address space is capped at 3 GB: one
+        batch's attention over it would need more."""
+        paths = _synth(tmp_path, n=20)
+        lines = paths["corpus"].read_text().splitlines() + ["", "# sent_id = long"]
+        first = len(lines) + 1  # the line of its first token
+        lines += [f"{i}\tw{i % 7}\t_\tNN\tNN\t_\t{int(i > 1)}\tdep\t_\t_" for i in range(1, 1501)]
+        paths["corpus"].write_text("\n".join(lines) + "\n")
+        with open(paths["trees"], "a") as f:
+            f.write("\n")  # no tree for it
+        limit = 3 * 2**30
+        run = subprocess.run(
+            [sys.executable, "-m", "opinionsum.cli", "run", "--config", str(_config_file(tmp_path, paths))],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env={**os.environ, "PYTHONPATH": str(Path(opinionsum.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.splitlines()[-1] == f"error: {paths['corpus']}:{first + 512}: sentence longer than 512 tokens"
+        assert "Traceback" not in run.stderr and "MemoryError" not in run.stderr
 
     def test_corrupted_vocab_exits_1_naming_file(self, tmp_path, capsys):
         config = _config_file(tmp_path, _synth(tmp_path, n=20))

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from opinionsum.corpus import (
+    MAX_SENTENCE_TOKENS,
     ROOT,
     CorpusError,
     DepArc,
@@ -45,7 +46,7 @@ class TestParseConllu:
         assert len(sentences) == 1
         s = sentences[0]
         assert (s.id, s.review_id, s.target_id) == ("a1", "r9", "t3")
-        assert s.tokens == [Token(0, "the", "DT"), Token(1, "great", "JJ"), Token(2, "pizza", "NN")]
+        assert s.tokens == [Token("the", "DT"), Token("great", "JJ"), Token("pizza", "NN")]
         assert s.deps == [DepArc(2, 0, "det"), DepArc(2, 1, "amod"), DepArc(ROOT, 2, "root")]
         non_root = [a for a in s.deps if a.head != ROOT]
         assert len(non_root) == 2
@@ -87,6 +88,14 @@ class TestParseConllu:
         )
         with pytest.raises(CorpusError, match="dup"):
             parse_conllu(text)
+
+    def test_sentence_length_limit(self):
+        def sentence(n):
+            return "".join(f"{i}\tw\t_\tNN\tNN\t_\t{int(i > 1)}\tdep\t_\t_\n" for i in range(1, n + 1))
+
+        assert len(parse_conllu(sentence(MAX_SENTENCE_TOKENS))[0].tokens) == 512
+        with pytest.raises(CorpusError, match=r"^line 513: sentence longer than 512 tokens$"):
+            parse_conllu(sentence(MAX_SENTENCE_TOKENS + 1))
 
     def test_multiword_and_empty_node_lines_skipped(self):
         text = (
@@ -172,7 +181,10 @@ class TestParseBracketedTree:
 
     def test_deep_tree_parses_without_recursion(self):
         depth = 5000
-        tree = parse_bracketed_tree("(S " * depth + "(NN x)" + ")" * depth)
+        text = "(S " * depth + "(NN x)" + ")" * depth
+        tree = parse_bracketed_tree(text)
+        assert tree.to_bracketed() == text
+        assert repr(tree) and (tree == parse_bracketed_tree(text)) in (True, False)
         for _ in range(depth):
             assert tree.label == "S" and tree.span == (0, 1) and len(tree.children) == 1
             (tree,) = tree.children
@@ -269,14 +281,17 @@ class TestBuildVocab:
         vocab = build_vocab(self._corpus(["a", "b", "a"]), min_count=1, keep=["zz"])
         vocab.save(tmp_path / "v.txt")
         again = Vocabulary.load(tmp_path / "v.txt")
-        assert again.words == vocab.words and again.min_count == vocab.min_count
+        assert again.words == vocab.words
+        assert (tmp_path / "v.txt").read_text() == "a\t2\nb\t1\nzz\t0\n"
 
     @pytest.mark.parametrize(
         "text, line",
         [
-            ("min_count x\na\t1\n", 1),  # non-integer min_count
-            ("min_count 1\na\t1\nb 2\n", 3),  # row without a tab
-            ("min_count 1\na\tmany\n", 2),  # non-integer count
+            ("", 1),  # no words
+            ("junk\n", 1),
+            ("min_count x\na\t1\n", 1),  # a header line, as before version 0.7
+            ("a\t1\nb 2\n", 2),  # row without a tab
+            ("a\tmany\n", 1),  # non-integer count
         ],
     )
     def test_malformed_file_names_line(self, tmp_path, text, line):

@@ -36,7 +36,7 @@ def _space_with_scores(scores: np.ndarray) -> tuple[SphereSpace, list[str]]:
     sent_vecs[:, c] = np.sqrt(rest)
     ids = [f"s{i}" for i in range(n)]
     return (
-        SphereSpace(dim, [], ids, [f"c{j}" for j in range(c)], np.empty((0, dim)), sent_vecs, cat_vecs, 0.7, 0.5),
+        SphereSpace(dim, [], ids, [f"c{j}" for j in range(c)], np.empty((0, dim)), sent_vecs, cat_vecs),
         ids,
     )
 

@@ -45,7 +45,7 @@ def _schema(kind="aspect", categories=(("one", ["alpha"]), ("two", ["beta"]))):
     return parse_schema("\n".join(f"{n}: {' '.join(k)}" for n, k in categories), kind)
 
 
-def _manual_space(cat_vecs, word_vecs=None, words=(), m_inter=0.5, m_intra=0.5):
+def _manual_space(cat_vecs, word_vecs=None, words=()):
     cat_vecs = np.asarray(cat_vecs, dtype=float)
     dim = cat_vecs.shape[1]
     if word_vecs is None:
@@ -58,8 +58,6 @@ def _manual_space(cat_vecs, word_vecs=None, words=(), m_inter=0.5, m_intra=0.5):
         np.asarray(word_vecs, dtype=float),
         np.empty((0, dim)),
         cat_vecs,
-        m_inter,
-        m_intra,
     )
 
 
@@ -97,39 +95,39 @@ class TestInit:
 
 class TestMarginLosses:
     def test_inter_orthogonal_categories(self):
-        space = _manual_space(np.eye(2), m_inter=0.5)
-        assert loss_inter(space) == 0.0
+        space = _manual_space(np.eye(2))
+        assert loss_inter(space, 0.5) == 0.0
 
     def test_inter_identical_categories(self):
         v = np.array([[1.0, 0.0], [1.0, 0.0]])
-        space = _manual_space(v, m_inter=0.5)
-        assert loss_inter(space) == pytest.approx(-1.0)  # -0.5 per ordered pair
+        space = _manual_space(v)
+        assert loss_inter(space, 0.5) == pytest.approx(-1.0)  # -0.5 per ordered pair
 
     def test_inter_matches_formula_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             cats = rng.normal(size=(4, 6))
             cats /= np.linalg.norm(cats, axis=1, keepdims=True)
-            space = _manual_space(cats, m_inter=0.7)
+            space = _manual_space(cats)
             oracle = sum(
                 min(0.0, 1.0 - float(cats[i] @ cats[j]) - 0.7)
                 for i in range(4)
                 for j in range(4)
                 if i != j
             )
-            assert loss_inter(space) == pytest.approx(oracle, rel=1e-12)
-            assert loss_inter(space) <= 0.0
+            assert loss_inter(space, 0.7) == pytest.approx(oracle, rel=1e-12)
+            assert loss_inter(space, 0.7) <= 0.0
 
     def test_intra_keyword_at_category(self):
         space = _manual_space([[1.0, 0.0], [0.0, 1.0]], word_vecs=[[1.0, 0.0], [0.0, 1.0]],
-                              words=["alpha", "beta"], m_intra=0.5)
-        assert loss_intra(space, _schema()) == 0.0
+                              words=["alpha", "beta"])
+        assert loss_intra(space, _schema(), 0.5) == 0.0
 
     def test_intra_keyword_orthogonal(self):
         space = _manual_space([[1.0, 0.0], [0.0, 1.0]], word_vecs=[[0.0, 1.0], [0.0, 1.0]],
-                              words=["alpha", "beta"], m_intra=0.5)
+                              words=["alpha", "beta"])
         # alpha orthogonal to c0 -> -0.5; beta at c1 -> 0
-        assert loss_intra(space, _schema()) == pytest.approx(-0.5)
+        assert loss_intra(space, _schema(), 0.5) == pytest.approx(-0.5)
 
     def test_intra_matches_formula_oracle(self):
         rng = np.random.default_rng(1)
@@ -139,19 +137,19 @@ class TestMarginLosses:
             cats /= np.linalg.norm(cats, axis=1, keepdims=True)
             wv = rng.normal(size=(3, 5))
             wv /= np.linalg.norm(wv, axis=1, keepdims=True)
-            space = _manual_space(cats, word_vecs=wv, words=["alpha", "beta", "gamma"], m_intra=0.5)
+            space = _manual_space(cats, word_vecs=wv, words=["alpha", "beta", "gamma"])
             oracle = (
                 min(0.0, float(wv[0] @ cats[0]) - 0.5)
                 + min(0.0, float(wv[1] @ cats[0]) - 0.5)
                 + min(0.0, float(wv[2] @ cats[1]) - 0.5)
             )
-            assert loss_intra(space, schema) == pytest.approx(oracle, rel=1e-12)
+            assert loss_intra(space, schema, 0.5) == pytest.approx(oracle, rel=1e-12)
 
     def test_inter_monotone_in_category_similarity(self):
         # decreasing a_i . a_j never decreases the hinge value
         def at_dot(dot):
             cats = np.array([[1.0, 0.0], [dot, np.sqrt(1.0 - dot**2)]])
-            return loss_inter(_manual_space(cats, m_inter=0.7))
+            return loss_inter(_manual_space(cats), 0.7)
 
         dots = np.linspace(-0.99, 0.99, 41)
         values = [at_dot(d) for d in dots]
@@ -318,8 +316,8 @@ class TestTraining:
             stats = trainer.train_epoch()
             if stats.inter_loss == 0.0 and stats.intra_loss == 0.0:
                 break
-        assert loss_inter(space) == 0.0
-        assert loss_intra(space, schema) == 0.0
+        assert loss_inter(space, config.m_inter) == 0.0
+        assert loss_intra(space, schema, config.m_intra) == 0.0
         # every seed keyword closest to its own category
         for ci, (_, keywords) in enumerate(schema.categories):
             for kw in keywords:
@@ -384,9 +382,9 @@ class TestTraining:
             ids = [s.id for s in corpus]
             space = init_space(vocab, schema, config, ids, seed=8)
             ref = init_space(vocab, schema, config, ids, seed=8)
-            assert loss_intra(ref, schema) < 0.0  # a keyword hinge is active at the first step
+            assert loss_intra(ref, schema, config.m_intra) < 0.0  # a keyword hinge is active at the first step
             if config.m_inter == 2.0:
-                assert loss_inter(ref) < 0.0  # and so is every category-pair hinge
+                assert loss_inter(ref, config.m_inter) < 0.0  # and so is every category-pair hinge
             trainer = SphereTrainer(space, corpus, schema, config, seed=8)
             rng = np.random.default_rng(8)
             for _ in range(config.epochs):
@@ -436,7 +434,7 @@ class TestScores:
         sents = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         sents[1] = np.array([0.0, 0.0, 0.0])
         space = SphereSpace(3, ["w0"], ["s0", "s1"], ["a", "b", "c"],
-                            np.eye(1, 3), sents, cats, 0.7, 0.5)
+                            np.eye(1, 3), sents, cats)
         return space
 
     def test_sentence_equal_to_category(self):
@@ -458,7 +456,7 @@ class TestScores:
         x /= np.linalg.norm(x)
         cats = rng.normal(size=(3, 4))
         cats /= np.linalg.norm(cats, axis=1, keepdims=True)
-        space = SphereSpace(4, [], ["s0"], ["a", "b", "c"], np.empty((0, 4)), x[None, :], cats, 0.7, 0.5)
+        space = SphereSpace(4, [], ["s0"], ["a", "b", "c"], np.empty((0, 4)), x[None, :], cats)
         np.testing.assert_allclose(sentence_scores(space, "s0"), [x @ c for c in cats], atol=1e-12)
         assert np.all(np.abs(sentence_scores(space, "s0")) <= 1.0 + 1e-12)
 
@@ -534,11 +532,10 @@ class TestPersistence:
         assert np.array_equal(again.word_vecs, space.word_vecs)
         assert np.array_equal(again.sent_vecs, space.sent_vecs)
         assert np.array_equal(again.cat_vecs, space.cat_vecs)
-        assert (again.m_inter, again.m_intra) == (space.m_inter, space.m_intra)
 
     def test_header_format(self, tmp_path):
         vocab = _toy_vocab(["alpha", "beta"])
-        space = init_space(vocab, _schema(), EmbedConfig(dim=4, m_inter=0.7, m_intra=0.5), ["s 0"])
+        space = init_space(vocab, _schema(), EmbedConfig(dim=4), ["s 0"])
         path = tmp_path / "space.bin"
         save_space(space, path)
         head, body = path.read_bytes().split(b"\n", 1)
@@ -548,8 +545,6 @@ class TestPersistence:
             "words": ["alpha", "beta"],
             "sent_ids": ["s 0"],  # an id may hold whitespace
             "cat_names": ["one", "two"],
-            "m_inter": 0.7,
-            "m_intra": 0.5,
             "arrays": [["word_vecs", "<f8", [2, 4]], ["sent_vecs", "<f8", [1, 4]], ["cat_vecs", "<f8", [2, 4]]],
         }
         assert body == b"".join(t.astype("<f8").tobytes() for t in (space.word_vecs, space.sent_vecs, space.cat_vecs))
@@ -557,8 +552,8 @@ class TestPersistence:
 
     def test_short_header_rejected(self, tmp_path):
         path = self._saved(tmp_path, "short.bin")
-        rewrite_arrayfile(path, lambda header, blocks: header.pop("m_intra"))
-        with pytest.raises(CorpusError, match=r"short\.bin: header lacks \['m_intra'\]"):
+        rewrite_arrayfile(path, lambda header, blocks: header.pop("cat_names"))
+        with pytest.raises(CorpusError, match=r"short\.bin: header lacks \['cat_names'\]"):
             load_space(path)
 
     def test_row_without_id_rejected(self, tmp_path):

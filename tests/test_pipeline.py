@@ -292,6 +292,18 @@ class TestMergeSequences:
         at_default = (Path(cfg.workdir) / "clusters.jsonl").read_bytes()
         assert (tmp_path / "work" / "clusters.jsonl").read_bytes() != at_default
 
+    def test_threshold_change_starts_no_worker(self, ran, tmp_path, monkeypatch):
+        """A threshold-only re-run runs summarize alone, in this process."""
+        cfg, _ = ran
+        copy = _copy(cfg, tmp_path / "work")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a threshold change started a worker pool")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        report = run_pipeline(dataclasses.replace(copy, cluster=ClusterConfig(threshold=0.1)))
+        assert [name for name, status in report.items() if status == "ran"] == ["summarize"]
+
     def test_changed_phrase_vectors_recompute(self, ran, tmp_path, monkeypatch):
         cfg, _ = ran
         copy = _copy(cfg, tmp_path / "work")
@@ -502,7 +514,7 @@ class TestDamagedArtifacts:
 
     @pytest.mark.parametrize("indices", [[], [-1], [1, 1], [2, 1], [0.5], [3]])
     def test_phrase_row_rejects_indices_outside_the_sentence(self, indices):
-        sentences = {"s": Sentence("s", "t", "r", [Token(i, w, "NN") for i, w in enumerate(["a", "b", "c"])], [])}
+        sentences = {"s": Sentence("s", "t", "r", [Token(w, "NN") for w in ["a", "b", "c"]], [])}
         row = {"id": "s:x", "sentence_id": "s", "surface": "a", "source": "dependency"}
         assert pipeline._phrase_row(json.dumps({**row, "indices": [0, 2]}), sentences).token_indices == (0, 2)
         with pytest.raises(ValueError, match="strictly ascending"):

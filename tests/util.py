@@ -31,7 +31,7 @@ from opinionsum.embedding import (
 def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"):
     """Build a Sentence from [(surface, pos)] and (head, dependent, relation)
     triples; tree may be a bracketed string."""
-    tokens = [Token(i, surface, pos) for i, (surface, pos) in enumerate(tagged)]
+    tokens = [Token(surface, pos) for surface, pos in tagged]
     deps = [DepArc(h, d, r) for h, d, r in arcs]
     parsed = parse_bracketed_tree(tree) if isinstance(tree, str) else tree
     return Sentence(sid, target, review, tokens, deps, parsed)
@@ -201,9 +201,9 @@ def naive_train_epoch(space, corpus, schema, config, rng, norm_check=False):
         value, rows, grads, d_sent, d_cat = _pair_value_grads(
             space.word_vecs, space.sent_vecs[row], space.cat_vecs[cat_row], ww_u, ww_v, ids, negs, kw_ids
         )
-        inter_v, d_cats = _inter_value_grad(space.cat_vecs, space.m_inter)
+        inter_v, d_cats = _inter_value_grad(space.cat_vecs, config.m_inter)
         intra_v, kw_grads, intra_cat_grad = _intra_value_grad(
-            space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra
+            space.cat_vecs, space.word_vecs, kw_ids, kw_cats, config.m_intra
         )
         if not math.isfinite(value + inter_v + intra_v):
             raise TrainingError(f"non-finite loss at sentence {label!r}")
@@ -220,8 +220,8 @@ def naive_train_epoch(space, corpus, schema, config, rng, norm_check=False):
                     raise TrainingError(f"norm deviation {dev:.3g} after step at {label!r}")
         gen_value += value
         n_pairs += len(negs)
-    inter_v, _ = _inter_value_grad(space.cat_vecs, space.m_inter)
-    intra_v, _, _ = _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, space.m_intra)
+    inter_v, _ = _inter_value_grad(space.cat_vecs, config.m_inter)
+    intra_v, _, _ = _intra_value_grad(space.cat_vecs, space.word_vecs, kw_ids, kw_cats, config.m_intra)
     return TrainStats(-gen_value, inter_v, intra_v, n_pairs)
 
 
