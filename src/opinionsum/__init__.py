@@ -6,4 +6,4 @@ unit-sphere embedding plus a distilled contextual classifier, and groups them
 into fine-grained per-target opinion clusters.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -150,7 +150,7 @@ def _cmd_eval_classify(args) -> int:
     ids = sorted(gold)
     missing = [i for i in ids if i not in pred]
     if missing:
-        raise ValidationError(f"{len(missing)} gold ids missing from predictions (e.g. {missing[0]!r})")
+        raise ValidationError(f"{args.pred}: {len(missing)} gold ids missing from predictions (e.g. {missing[0]!r})")
     labels = args.labels.split(",") if args.labels else None
     report = classification_metrics([pred[i] for i in ids], [gold[i] for i in ids], labels)
     print(
@@ -195,7 +195,7 @@ def _summary_clusters(path) -> list[list[str]]:
 def _cmd_eval_diversity(args) -> int:
     clusters = _summary_clusters(args.summary)
     if not clusters:
-        raise ValidationError("summary contains no clusters")
+        raise ValidationError(f"{args.summary}: summary contains no clusters")
     scores = [diversity(c) for c in clusters]
     print(json.dumps({"clusters": len(scores), "mean_diversity": sum(scores) / len(scores)}))
     return 0

@@ -424,29 +424,24 @@ def load_schema(path, kind: str) -> CategorySchema:
 
 
 def sentence_to_json(sentence: Sentence) -> str:
-    """A corpus.jsonl row: ids and [surface, pos] tokens; the parse stays in extract."""
+    """A corpus.jsonl row: ids and token surfaces; the parse stays in extract."""
     obj = {
         "id": sentence.id,
         "target_id": sentence.target_id,
         "review_id": sentence.review_id,
-        "tokens": [[t.surface, t.pos] for t in sentence.tokens],
+        "tokens": [t.surface for t in sentence.tokens],
     }
     return json.dumps(obj, sort_keys=True)
 
 
 def sentence_from_json(line: str) -> Sentence:
     """A corpus.jsonl row: string id, target_id and review_id, and tokens a
-    non-empty list of [surface, pos] string pairs."""
+    non-empty list of surface strings, each given the CoNLL-U unspecified POS "_"."""
     obj = json.loads(line)
     ids, tokens = (obj["id"], obj["target_id"], obj["review_id"]), obj["tokens"]
-    if not (
-        all(type(i) is str for i in ids)
-        and type(tokens) is list
-        and tokens
-        and all(type(t) is list and len(t) == 2 and type(t[0]) is type(t[1]) is str for t in tokens)
-    ):
-        raise ValueError("expected string id, target_id and review_id and a non-empty list of [surface, pos] strings")
-    return Sentence(*ids, [Token(s, p) for s, p in tokens], [])
+    if not (type(tokens) is list and tokens and all(type(v) is str for v in (*ids, *tokens))):
+        raise ValueError("expected string id, target_id and review_id and a non-empty list of surface strings")
+    return Sentence(*ids, [Token(t, "_") for t in tokens], [])
 
 
 def unique_id(row, seen: set):
@@ -459,8 +454,8 @@ def unique_id(row, seen: set):
 
 def load_manifest(path) -> list[Sentence]:
     """The sentences of a corpus.jsonl, ids unique, without their parse:
-    deps == [] and tree is None, as only extract, which reads the corpus
-    itself, uses them."""
+    every POS "_", deps == [] and tree is None, as only extract, which reads
+    the corpus itself, uses them."""
     seen: set[str] = set()
     return read_jsonl(path, lambda line: unique_id(sentence_from_json(line), seen))
 

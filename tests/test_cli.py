@@ -69,6 +69,8 @@ class TestRun:
         assert main(["summarize", "--config", str(config), "--target", "t0"]) == 0
         printed = capsys.readouterr().out
         assert '"t0"' in printed
+        assert main(["summarize", "--config", str(config), "--target", "nope"]) == 1
+        assert "error: unknown target 'nope'" in capsys.readouterr().err
 
     def test_stale_upstream_record_exits_1(self, tmp_path, capsys):
         config = _config_file(tmp_path, _synth(tmp_path))
@@ -134,22 +136,36 @@ class TestRun:
             ("head", "corpus.conllu:4: non-integer HEAD 'zz'"),
             ("tree", "corpus.trees:1: offset"),  # ... unbalanced parentheses
             ("form", "corpus.conllu:4: FORM contains whitespace"),
+            ("id", "corpus.conllu:4: bad token id 'x'"),
+            ("gap", "corpus.conllu:4: non-contiguous token id 2"),
+            ("empty", "corpus.conllu:4: empty FORM"),
+            ("own-head", "corpus.conllu:4: sentence s0: token 1 is its own head"),
+            # any other value is the first tree line
+            ("(NN x) (NN y)", "corpus.trees:1: offset 7: trailing text after tree"),
+            ("(NN x) y", "corpus.trees:1: offset 7: trailing text after tree"),
+            ("x (NN y)", "corpus.trees:1: offset 0: expected '('"),
+            (") (NN x)", "corpus.trees:1: offset 0: unbalanced parentheses (unexpected ')')"),
+            ("(NP () (NN x))", "corpus.trees:1: offset 5: expected constituent label"),
+            ("((NN x))", "corpus.trees:1: offset 1: expected constituent label"),
+            ("(NN x y)", "corpus.trees:1: offset 6: leaf constituent with more than one word"),
+            ("(NP x (NN y))", "corpus.trees:1: offset 4: constituent mixes words and subconstituents"),
         ],
     )
     def test_malformed_corpus_exits_1_naming_file_and_line(self, tmp_path, capsys, bad, expected):
         paths = _synth(tmp_path, n=20)
-        if bad == "tree":
-            lines = paths["trees"].read_text().splitlines()
-            paths["trees"].write_text("\n".join([lines[0] + ")"] + lines[1:]) + "\n")
-        else:
+        column_edits = {"head": (6, "zz"), "form": (1, "the x"), "id": (0, "x"), "gap": (0, "2"), "empty": (1, ""),
+                        "own-head": (6, "1")}
+        if bad in column_edits:
             lines = paths["corpus"].read_text().splitlines()
             cols = lines[3].split("\t")  # the first token row, after three id comments
-            if bad == "head":
-                cols[6] = "zz"
-            else:
-                cols[1] = "the x"
+            column, value = column_edits[bad]
+            cols[column] = value
             lines[3] = "\t".join(cols)
             paths["corpus"].write_text("\n".join(lines) + "\n")
+        else:
+            lines = paths["trees"].read_text().splitlines()
+            lines[0] = lines[0] + ")" if bad == "tree" else bad
+            paths["trees"].write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["run", "--config", str(_config_file(tmp_path, paths))]) == 1
         err = capsys.readouterr().err
@@ -400,6 +416,9 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 3
         assert report["accuracy"] == pytest.approx(2 / 3)
+        pred.write_text(json.dumps({"id": "p0", "label": "a"}))
+        assert main(["eval", "classify", "--pred", str(pred), "--gold", str(gold)]) == 1
+        assert f"error: {pred}: 2 gold ids missing from predictions (e.g. 'p1')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ['{"x": 1}', '{"id": "p1"}', '{"label": "a"}', "[1, 2]", "not json"])
     def test_classify_bad_label_row_names_file_and_line(self, tmp_path, capsys, bad):
@@ -503,6 +522,8 @@ class TestEval:
             ("score", {"answers": '[{"set_id": "s0", "answer": "x"}]'}),
             ("score", {"key": '[{"set_id": "s0"}]'}),
             ("score", {"key": ""}),
+            ("diversity", {"summary": '{"t0": {"food|good": []}}'}),  # no clusters
+            ("score", {"answers": '[{"set_id": "s9", "answer": 1}]'}),  # no answer for s0
         ],
     )
     def test_bad_eval_input_exits_1_naming_the_file(self, tmp_path, capsys, command, bad):

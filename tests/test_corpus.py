@@ -112,18 +112,31 @@ class TestParseConllu:
         again = parse_conllu(sentence_to_conllu(sentences[0]))
         assert again == sentences
 
+    @pytest.mark.parametrize(
+        "deps, message",
+        [([DepArc(2, 0, "det"), DepArc(2, 0, "amod"), DepArc(ROOT, 2, "root")], "token 0 has two heads"),
+         ([DepArc(2, 0, "det"), DepArc(ROOT, 2, "root")], "token 1 has no head")],
+    )
+    def test_conllu_writer_needs_one_head_per_token(self, deps, message):
+        s = parse_conllu(SIMPLE)[0]
+        s.deps = deps
+        with pytest.raises(CorpusError, match=f"^sentence a1: {message}$"):
+            sentence_to_conllu(s)
+
     def test_json_roundtrip(self):
-        """A manifest row keeps ids and tokens; the parse stays with extract."""
+        """A manifest row keeps ids and token surfaces; the parse stays with extract."""
         s = parse_conllu(SIMPLE)[0]
         s.tree = parse_bracketed_tree("(NP (DT the) (JJ great) (NN pizza))")
+        assert json.loads(sentence_to_json(s))["tokens"] == ["the", "great", "pizza"]
         back = sentence_from_json(sentence_to_json(s))
-        assert (back.id, back.review_id, back.target_id, back.tokens) == (s.id, s.review_id, s.target_id, s.tokens)
+        assert (back.id, back.review_id, back.target_id) == (s.id, s.review_id, s.target_id)
+        assert back.tokens == [Token("the", "_"), Token("great", "_"), Token("pizza", "_")]
         assert back.deps == [] and back.tree is None
 
     @pytest.mark.parametrize(
         "edit",
         [{"id": ["a1"]}, {"target_id": 3}, {"review_id": None}, {"tokens": "the"}, {"tokens": []},
-         {"tokens": [["the", "DT", "x"]]}, {"tokens": [[7, "DT"]]}, {"tokens": [["the", None]]}, {"tokens": ["the"]}],
+         {"tokens": [["the", "DT"]]}, {"tokens": [7]}, {"tokens": ["the", None]}, {"tokens": {"the": "DT"}}],
     )
     def test_json_rejects_row_off_the_manifest(self, edit):
         row = {**json.loads(sentence_to_json(parse_conllu(SIMPLE)[0])), **edit}

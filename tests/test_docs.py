@@ -11,7 +11,7 @@ import opinionsum
 from opinionsum import pipeline
 from opinionsum.classifier import ReferenceEncoder, save_checkpoint
 from opinionsum.cli import _CONFIG_FLAGS
-from opinionsum.corpus import Vocabulary, load_schema
+from opinionsum.corpus import Vocabulary, load_schema, sentence_from_json, sentence_to_json
 from opinionsum.embedding import EmbedConfig, init_space, save_space
 from opinionsum.pipeline import STAGES, PipelineConfig
 from opinionsum.synthetic import SyntheticSpec, generate_synthetic
@@ -84,6 +84,17 @@ def test_readme_file_formats_name_every_header_key(tmp_path):
     for header in headers:
         missing = header.keys() - named[header["kind"]] - set(re.findall(r"`([^`]+)`", common))
         assert not missing, (header["kind"], sorted(missing))
+
+
+def test_readme_manifest_row_is_one_the_writer_writes():
+    """The manifest paragraph's example row has the keys and token shape
+    sentence_to_json writes: the reader accepts it and the writer gives back
+    its bytes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.split("**Workdir manifest**", 1)[1].split("\n\n**", 1)[0]
+    (example,) = [span for span in re.findall(r"`([^`]+)`", paragraph) if span.startswith("{")]
+    assert sentence_to_json(sentence_from_json(example)) == example
 
 
 def test_readme_config_table_lists_every_key_and_flag():

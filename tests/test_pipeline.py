@@ -117,6 +117,7 @@ class TestFullRun:
         cfg, _ = ran
         rows = _read_jsonl(Path(cfg.workdir) / "corpus.jsonl")
         assert rows and all(row.keys() == {"id", "review_id", "target_id", "tokens"} for row in rows)
+        assert all(row["tokens"] and all(type(t) is str for t in row["tokens"]) for row in rows)
 
     def test_records_hold_each_stage_metrics(self, ran):
         cfg, _ = ran
@@ -478,8 +479,11 @@ class TestDamagedArtifacts:
                          "train-classifier", id="sentence-label-unknown-id"),
             pytest.param("phrase_labels_aspect.jsonl", _edit_row(lambda row: row.update(id="nope"), 2),
                          "finetune-phrases", id="phrase-label-unknown-id"),
-            pytest.param("corpus.jsonl", _edit_row(lambda row: row["tokens"][0].__setitem__(0, 7), 2),
+            pytest.param("corpus.jsonl", _edit_row(lambda row: row["tokens"].__setitem__(0, 7), 2),
                          "train-classifier", id="manifest-int-surface"),
+            pytest.param("corpus.jsonl",
+                         _edit_row(lambda row: row.update(tokens=[[t, "NN"] for t in row["tokens"]]), 2),
+                         "train-classifier", id="manifest-surface-pos-pairs"),
             pytest.param("corpus.jsonl", _edit_row(lambda row: row.update(id=["x"]), 2), "phrase-labels",
                          id="manifest-list-id"),
             pytest.param("corpus.jsonl", _repeat_previous_at(3), "train-classifier", id="manifest-repeated-id"),
@@ -790,6 +794,8 @@ class TestValidation:
         cfg.encoder_dim = 3
         with pytest.raises(ValidationError, match="encoder_dim"):
             run_stage(cfg, "extract")
+        with pytest.raises(ValidationError, match="^unknown stage 'nope'$"):
+            run_stage(cfg, "nope")
         assert not (tmp_path / "work").exists()
 
     def test_bad_nested_config_rejected(self, tmp_path):
