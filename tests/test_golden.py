@@ -1,8 +1,8 @@
 """Golden digests: small end-to-end runs, each followed by a re-run of
-summarize at a second threshold, write exactly the bytes recorded in
-tests/golden.json.  There are two runs: a 40-sentence generate_synthetic
-corpus ("digests"), and the benchmark's `cold` corpus and config from
-pipebench/ ("cold").
+summarize at other thresholds, write exactly the bytes recorded in
+tests/golden.json.  There are three runs: a 40-sentence generate_synthetic
+corpus ("digests"), and the benchmark's `cold` and `retune` corpora with its
+config from pipebench/ ("cold", "retune").
 
 The table holds the package version and the numpy version it was written
 with, and the sha256 of every workdir file outside .meta/.  Float results
@@ -34,7 +34,7 @@ from opinionsum.synthetic import SyntheticSpec, generate_synthetic
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
 
 from balanced import generate_balanced  # noqa: E402
-from workloads import CONFIG, SMALL_CORPUS  # noqa: E402
+from workloads import CONFIG, ONE_TARGET_CORPUS, SMALL_CORPUS  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -79,7 +79,14 @@ def _cold_digests(base: Path) -> dict[str, str]:
     return _digests(paths, base / "work", (ClusterConfig().threshold, 0.5), **CONFIG)
 
 
-SECTIONS = {"digests": _synthetic_digests, "cold": _cold_digests}
+def _retune_digests(base: Path) -> dict[str, str]:
+    """pipebench's `retune` set-up at seed 7, then summarize alone at each
+    other threshold of its cycle."""
+    paths = generate_balanced(ONE_TARGET_CORPUS, 7, base / "data")
+    return _digests(paths, base / "work", (ClusterConfig().threshold, 1.5, 1.0, 0.5, 0.25, 2.0), **CONFIG)
+
+
+SECTIONS = {"digests": _synthetic_digests, "cold": _cold_digests, "retune": _retune_digests}
 
 
 def _check(section: str, tmp_path: Path):
@@ -99,6 +106,10 @@ def test_artifacts_match_golden_digests(tmp_path):
 
 def test_benchmark_corpus_matches_golden_digests(tmp_path):
     _check("cold", tmp_path)
+
+
+def test_retune_thresholds_match_golden_digests(tmp_path):
+    _check("retune", tmp_path)
 
 
 if __name__ == "__main__":
