@@ -254,7 +254,7 @@ def fit(model: ReferenceEncoder, rows, vocab: Vocabulary, config: TrainConfig, s
     input is the whole sentence, pooled over the span, or over every token
     for None.  Returns the per-batch losses."""
     items = [
-        (ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), span), distribution)
+        (ClassifierInput(token_ids(vocab, sentence.tokens), span), distribution)
         for sentence, span, distribution in rows
     ]
     return _fit(model, items, config, seed)
@@ -273,7 +273,7 @@ def encode_phrases(model: ReferenceEncoder, vocab: Vocabulary, sentences: dict, 
     members = {}  # sentence id -> indices of its phrases
     for k, phrase in enumerate(phrases):
         members.setdefault(phrase.sentence_id, []).append(k)
-    ids = {sid: token_ids(vocab, [t.surface for t in sentences[sid].tokens]) for sid in members}
+    ids = {sid: token_ids(vocab, sentences[sid].tokens) for sid in members}
     pooled = np.zeros((len(phrases), model.dim))
     for n in set(map(len, ids.values())):
         stack = [sid for sid, row in ids.items() if len(row) == n]

@@ -32,12 +32,6 @@ class CorpusError(ValueError):
 
 
 @dataclass
-class Token:
-    surface: str
-    pos: str
-
-
-@dataclass
 class DepArc:
     head: int  # token index, or ROOT
     dependent: int
@@ -79,8 +73,10 @@ class Sentence:
     id: str
     target_id: str
     review_id: str
-    tokens: list[Token]
-    deps: list[DepArc]
+    tokens: list[str]  # surface forms
+    # the parse, which only extraction reads: one POS tag per token, arcs, tree
+    pos: list[str] = field(default_factory=list)
+    deps: list[DepArc] = field(default_factory=list)
     tree: ConstNode | None = None
 
 
@@ -194,7 +190,6 @@ def parse_conllu(text: str) -> list[Sentence]:
         if sid in seen_ids:
             raise CorpusError(f"duplicate sentence id {sid!r}", rows[0][0])
         seen_ids.add(sid)
-        tokens = [Token(form, pos) for _, form, pos, _, _ in rows]
         deps = []
         for i, (line_no, _, _, head, rel) in enumerate(rows):
             if head == 0:
@@ -205,7 +200,8 @@ def parse_conllu(text: str) -> list[Sentence]:
             if head - 1 == i:
                 raise CorpusError(f"sentence {sid}: token {i + 1} is its own head", line_no)
             deps.append(DepArc(head - 1, i, rel))
-        sentences.append(Sentence(sid, target, review, tokens, deps))
+        tokens, pos = [form for _, form, _, _, _ in rows], [tag for _, _, tag, _, _ in rows]
+        sentences.append(Sentence(sid, target, review, tokens, pos, deps))
         meta.clear()
         rows.clear()
 
@@ -250,8 +246,10 @@ def parse_conllu(text: str) -> list[Sentence]:
 def sentence_to_conllu(sentence: Sentence) -> str:
     """Serialize a sentence back to a CoNLL-U block (ends with a blank line).
 
-    Every token must be the dependent of exactly one arc.
+    Every token must have a POS tag and be the dependent of exactly one arc.
     """
+    if len(sentence.pos) != len(sentence.tokens):
+        raise CorpusError(f"sentence {sentence.id}: {len(sentence.pos)} POS tags for {len(sentence.tokens)} tokens")
     arc_of: dict[int, DepArc] = {}
     for arc in sentence.deps:
         if arc.dependent in arc_of:
@@ -262,16 +260,12 @@ def sentence_to_conllu(sentence: Sentence) -> str:
         f"# review_id = {sentence.review_id}",
         f"# target_id = {sentence.target_id}",
     ]
-    for i, tok in enumerate(sentence.tokens):
+    for i, (form, pos) in enumerate(zip(sentence.tokens, sentence.pos)):
         arc = arc_of.get(i)
         if arc is None:
             raise CorpusError(f"sentence {sentence.id}: token {i} has no head")
         head = 0 if arc.head == ROOT else arc.head + 1
-        lines.append(
-            "\t".join(
-                [str(i + 1), tok.surface, "_", "_", tok.pos, "_", str(head), arc.relation, "_", "_"]
-            )
-        )
+        lines.append("\t".join([str(i + 1), form, "_", "_", pos, "_", str(head), arc.relation, "_", "_"]))
     return "\n".join(lines) + "\n\n"
 
 
@@ -396,7 +390,7 @@ def build_vocab(corpus: list[Sentence], min_count: int = 1, keep: Iterable[str] 
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter(tok.surface.casefold() for s in corpus for tok in s.tokens)
+    counts = Counter(tok.casefold() for s in corpus for tok in s.tokens)
     kept = {k.casefold() for k in keep}
     entries = [(w, c) for w, c in counts.items() if c >= min_count or w in kept]
     entries += [(w, 0) for w in kept if w not in counts]
@@ -429,19 +423,20 @@ def sentence_to_json(sentence: Sentence) -> str:
         "id": sentence.id,
         "target_id": sentence.target_id,
         "review_id": sentence.review_id,
-        "tokens": [t.surface for t in sentence.tokens],
+        "tokens": sentence.tokens,
     }
     return json.dumps(obj, sort_keys=True)
 
 
 def sentence_from_json(line: str) -> Sentence:
     """A corpus.jsonl row: string id, target_id and review_id, and tokens a
-    non-empty list of surface strings, each given the CoNLL-U unspecified POS "_"."""
+    non-empty list of surface strings.  The sentence has no parse: pos and
+    deps are empty and tree is None."""
     obj = json.loads(line)
     ids, tokens = (obj["id"], obj["target_id"], obj["review_id"]), obj["tokens"]
     if not (type(tokens) is list and tokens and all(type(v) is str for v in (*ids, *tokens))):
         raise ValueError("expected string id, target_id and review_id and a non-empty list of surface strings")
-    return Sentence(*ids, [Token(t, "_") for t in tokens], [])
+    return Sentence(*ids, tokens)
 
 
 def unique_id(row, seen: set):
@@ -454,8 +449,8 @@ def unique_id(row, seen: set):
 
 def load_manifest(path) -> list[Sentence]:
     """The sentences of a corpus.jsonl, ids unique, without their parse:
-    every POS "_", deps == [] and tree is None, as only extract, which reads
-    the corpus itself, uses them."""
+    pos == [], deps == [] and tree is None, as only extract, which reads the
+    corpus itself, uses it."""
     seen: set[str] = set()
     return read_jsonl(path, lambda line: unique_id(sentence_from_json(line), seen))
 

@@ -376,7 +376,7 @@ class SphereTrainer:
         self._plans: list[_Plan] = []
         counts = np.zeros(len(space.words))
         for sent in corpus:
-            ids = [space.word_id(t.surface) for t in sent.tokens]
+            ids = [space.word_id(t) for t in sent.tokens]
             ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
             np.add.at(counts, ids, 1.0)
             ci, cj = _window_pairs(len(ids), config.window)

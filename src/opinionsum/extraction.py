@@ -44,7 +44,7 @@ class Phrase:
 
 def _make_phrase(sentence: Sentence, indices, source: str) -> Phrase:
     idx = tuple(sorted(set(indices)))
-    surface = " ".join(sentence.tokens[i].surface for i in idx)
+    surface = " ".join(sentence.tokens[i] for i in idx)
     pid = f"{sentence.id}:{'-'.join(str(i) for i in idx)}"
     return Phrase(pid, sentence.id, idx, surface, source)
 
@@ -68,8 +68,8 @@ def extract_dependency_phrases(sentence: Sentence) -> list[Phrase]:
     for arc in sentence.deps:
         if arc.head == ROOT or _base_relation(arc.relation) not in _TRIGGER_RELATIONS:
             continue
-        pos_h = sentence.tokens[arc.head].pos
-        pos_d = sentence.tokens[arc.dependent].pos
+        pos_h = sentence.pos[arc.head]
+        pos_d = sentence.pos[arc.dependent]
         if _is_noun(pos_h) and _is_modifier(pos_d):
             noun, modifier = arc.head, arc.dependent
         elif _is_noun(pos_d) and _is_modifier(pos_h):

@@ -293,7 +293,7 @@ def _phrase_inputs(w: Path):
 def _run_phrase_labels(cfg: PipelineConfig):
     w = _workdir(cfg)
     sentences, phrases, vocab = _phrase_inputs(w)
-    words = [[sentences[p.sentence_id].tokens[i].surface for i in p.token_indices] for p in phrases]
+    words = [[sentences[p.sentence_id].tokens[i] for i in p.token_indices] for p in phrases]
     for kind in _KINDS:
         space = load_space(w / f"embed_{kind}.bin")
         model = load_checkpoint(w / f"classifier_{kind}.ckpt")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ROOT, ConstNode, DepArc, Sentence, Token, sentence_to_conllu
+from .corpus import ROOT, ConstNode, DepArc, Sentence, sentence_to_conllu
 from .extraction import extract_candidates
 
 _NOISE_POOL = 30
@@ -59,21 +59,23 @@ _SENTIMENTS = ("good", "bad")
 
 
 class _Builder:
-    """Accumulates one sentence's tokens, arcs, and root-level tree nodes."""
+    """Accumulates one sentence's tokens, POS tags, arcs, and root-level tree nodes."""
 
     def __init__(self):
-        self.tokens: list[Token] = []
+        self.tokens: list[str] = []
+        self.pos: list[str] = []
         self.arcs: list[DepArc] = []
         self.nodes: list[ConstNode] = []
         self.root: int | None = None
 
     def add(self, surface: str, pos: str) -> int:
         idx = len(self.tokens)
-        self.tokens.append(Token(surface, pos))
+        self.tokens.append(surface)
+        self.pos.append(pos)
         return idx
 
     def leaf(self, pos: str, idx: int) -> ConstNode:
-        return ConstNode(pos, (idx, idx + 1), [], self.tokens[idx].surface)
+        return ConstNode(pos, (idx, idx + 1), [], self.tokens[idx])
 
     def attach_root(self, idx: int, relation: str):
         if self.root is None:
@@ -146,7 +148,7 @@ def build_sentence(
         if len(b.tokens) + 4 > length:
             break
     tree = ConstNode("S", (0, len(b.tokens)), b.nodes)
-    return Sentence(sid, target, review, b.tokens, b.arcs, tree)
+    return Sentence(sid, target, review, b.tokens, b.pos, b.arcs, tree)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict[str, Path]:

@@ -298,7 +298,7 @@ class TestTraining:
     def test_batch_loss_is_mean_of_item_losses(self):
         model, rows, vocab = self._setup()
         items = [
-            (ClassifierInput(token_ids(vocab, [t.surface for t in sent.tokens])), target) for sent, _, target in rows
+            (ClassifierInput(token_ids(vocab, sent.tokens)), target) for sent, _, target in rows
         ]
         loss, _ = batch_loss_and_grads(model, items)
         oracle = np.mean([distill_loss(t, model.predict(i)) for i, t in items])

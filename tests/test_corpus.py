@@ -10,7 +10,6 @@ from opinionsum.corpus import (
     ROOT,
     CorpusError,
     DepArc,
-    Token,
     Vocabulary,
     attach_trees,
     build_vocab,
@@ -46,7 +45,8 @@ class TestParseConllu:
         assert len(sentences) == 1
         s = sentences[0]
         assert (s.id, s.review_id, s.target_id) == ("a1", "r9", "t3")
-        assert s.tokens == [Token("the", "DT"), Token("great", "JJ"), Token("pizza", "NN")]
+        assert s.tokens == ["the", "great", "pizza"]  # FORM
+        assert s.pos == ["DT", "JJ", "NN"]  # XPOS
         assert s.deps == [DepArc(2, 0, "det"), DepArc(2, 1, "amod"), DepArc(ROOT, 2, "root")]
         non_root = [a for a in s.deps if a.head != ROOT]
         assert len(non_root) == 2
@@ -68,7 +68,7 @@ class TestParseConllu:
 
     def test_upos_fallback_when_xpos_missing(self):
         text = "1\tword\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
-        assert parse_conllu(text)[0].tokens[0].pos == "NOUN"
+        assert parse_conllu(text)[0].pos == ["NOUN"]
 
     def test_auto_ids_and_carry_forward(self):
         text = (
@@ -105,7 +105,7 @@ class TestParseConllu:
             "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
         )
         s = parse_conllu(text)[0]
-        assert [t.surface for t in s.tokens] == ["do", "not"]
+        assert s.tokens == ["do", "not"] and s.pos == ["VB", "RB"]
 
     def test_roundtrip(self):
         sentences = parse_conllu(SIMPLE)
@@ -123,6 +123,13 @@ class TestParseConllu:
         with pytest.raises(CorpusError, match=f"^sentence a1: {message}$"):
             sentence_to_conllu(s)
 
+    @pytest.mark.parametrize("pos", [["DT", "JJ"], [], ["DT", "JJ", "NN", "NN"]])
+    def test_conllu_writer_needs_one_tag_per_token(self, pos):
+        s = parse_conllu(SIMPLE)[0]
+        s.pos = pos
+        with pytest.raises(CorpusError, match=f"^sentence a1: {len(pos)} POS tags for 3 tokens$"):
+            sentence_to_conllu(s)
+
     def test_json_roundtrip(self):
         """A manifest row keeps ids and token surfaces; the parse stays with extract."""
         s = parse_conllu(SIMPLE)[0]
@@ -130,8 +137,8 @@ class TestParseConllu:
         assert json.loads(sentence_to_json(s))["tokens"] == ["the", "great", "pizza"]
         back = sentence_from_json(sentence_to_json(s))
         assert (back.id, back.review_id, back.target_id) == (s.id, s.review_id, s.target_id)
-        assert back.tokens == [Token("the", "_"), Token("great", "_"), Token("pizza", "_")]
-        assert back.deps == [] and back.tree is None
+        assert back.tokens == ["the", "great", "pizza"]
+        assert back.pos == [] and back.deps == [] and back.tree is None
 
     @pytest.mark.parametrize(
         "edit",

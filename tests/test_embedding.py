@@ -347,13 +347,13 @@ class TestTraining:
         assert stats.inter_loss <= 0.0 and stats.intra_loss <= 0.0
         # per sentence: its window pairs, one (word, sentence) pair per known
         # token and the (sentence, category) pair
-        n = [sum(t.surface in vocab for t in s.tokens) for s in sentences]
+        n = [sum(t in vocab for t in s.tokens) for s in sentences]
         assert stats.n_pairs == sum(len(naive_window_pairs(k, 3)[0]) + k + 1 for k in n)
 
     def test_sentence_without_known_token(self, tmp_path):
         sentences, schema, vocab = _small_planted(tmp_path, n_sentences=30)
         unknown = make_sentence([("zzzyx", "NN"), ("qqqwv", "JJ")], sid="unknown")
-        assert all(t.surface not in vocab for t in unknown.tokens)
+        assert all(t not in vocab for t in unknown.tokens)
         config = EmbedConfig(dim=12, epochs=2)
         ids = [s.id for s in sentences] + [unknown.id]
         with_it = SphereTrainer(init_space(vocab, schema, config, ids), sentences + [unknown], schema, config)
@@ -372,7 +372,7 @@ class TestTraining:
         sentiments = load_schema(paths["sentiment_schema"], "sentiment")
         vocab = build_vocab(sentences, 1, keep=aspects.all_keywords() + sentiments.all_keywords())
         unknown = make_sentence([("zzzyx", "NN"), ("qqqwv", "JJ")], sid="unknown")
-        one = make_sentence([(sentences[0].tokens[0].surface, "NN")], sid="one")
+        one = make_sentence([(sentences[0].tokens[0], "NN")], sid="one")
         corpus = sentences[:40] + [unknown, one] + sentences[40:]
         cases = (
             (sentiments, EmbedConfig(dim=16, epochs=2)),  # some keyword hinges active

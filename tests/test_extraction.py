@@ -93,7 +93,7 @@ class TestDependencyRule:
     def test_every_phrase_contains_a_noun(self):
         for sent in (FULL_BEER_MENU, PRICE_REASONABLE, DIPPING_SAUCE):
             for p in extract_dependency_phrases(sent):
-                assert any(sent.tokens[i].pos.startswith("NN") for i in p.token_indices)
+                assert any(sent.pos[i].startswith("NN") for i in p.token_indices)
 
     def test_noun_property_over_generated_corpus(self, tmp_path):
         from opinionsum.corpus import load_corpus
@@ -102,9 +102,9 @@ class TestDependencyRule:
         paths = generate_synthetic(SyntheticSpec(n_sentences=60), 19, tmp_path)
         for sent in load_corpus(paths["corpus"], paths["trees"]):
             for p in extract_candidates(sent):
-                assert any(sent.tokens[i].pos.startswith("NN") for i in p.token_indices)
+                assert any(sent.pos[i].startswith("NN") for i in p.token_indices)
                 assert p.token_indices == tuple(sorted(set(p.token_indices)))
-                assert p.surface == " ".join(sent.tokens[i].surface for i in p.token_indices)
+                assert p.surface == " ".join(sent.tokens[i] for i in p.token_indices)
 
 
 class TestConstituencyRule:

@@ -17,7 +17,7 @@ from opinionsum.arrayfile import load_arrays, save_arrays
 from opinionsum.cli import main
 from opinionsum.classifier import TrainConfig
 from opinionsum.clustering import ClusterConfig
-from opinionsum.corpus import CorpusError, Sentence, Token
+from opinionsum.corpus import CorpusError, Sentence
 from opinionsum.distill import DistillConfig
 from opinionsum.embedding import EmbedConfig, TrainingError
 from opinionsum.pipeline import (
@@ -518,7 +518,7 @@ class TestDamagedArtifacts:
 
     @pytest.mark.parametrize("indices", [[], [-1], [1, 1], [2, 1], [0.5], [3]])
     def test_phrase_row_rejects_indices_outside_the_sentence(self, indices):
-        sentences = {"s": Sentence("s", "t", "r", [Token(w, "NN") for w in ["a", "b", "c"]], [])}
+        sentences = {"s": Sentence("s", "t", "r", ["a", "b", "c"])}
         row = {"id": "s:x", "sentence_id": "s", "surface": "a", "source": "dependency"}
         assert pipeline._phrase_row(json.dumps({**row, "indices": [0, 2]}), sentences).token_indices == (0, 2)
         with pytest.raises(ValueError, match="strictly ascending"):

@@ -34,13 +34,13 @@ class TestGenerator:
         for sent in sentences:
             row = gold[sent.id]
             aspect_i = row["aspect"].removeprefix("topic")
-            for tok in sent.tokens:
-                if tok.pos == "NN":
-                    assert tok.surface.startswith(f"t{aspect_i}noun")
-                elif tok.pos == "JJ":
-                    assert tok.surface.startswith(f"{row['sentiment']}adj")
+            for word, pos in zip(sent.tokens, sent.pos, strict=True):
+                if pos == "NN":
+                    assert word.startswith(f"t{aspect_i}noun")
+                elif pos == "JJ":
+                    assert word.startswith(f"{row['sentiment']}adj")
                 else:
-                    assert tok.surface in ("the", "is")
+                    assert word in ("the", "is")
 
     def test_byte_identical_under_seed(self, tmp_path):
         spec = SyntheticSpec(n_sentences=50)

@@ -14,7 +14,7 @@ from opinionsum.classifier import (
     phrase_span,
     token_ids,
 )
-from opinionsum.corpus import DepArc, Sentence, Token, parse_bracketed_tree
+from opinionsum.corpus import DepArc, Sentence, parse_bracketed_tree
 from opinionsum.distill import distill_loss
 from opinionsum.embedding import (
     _NEG_POWER,
@@ -31,16 +31,16 @@ from opinionsum.embedding import (
 def make_sentence(tagged, arcs=(), tree=None, sid="s0", target="t0", review="r0"):
     """Build a Sentence from [(surface, pos)] and (head, dependent, relation)
     triples; tree may be a bracketed string."""
-    tokens = [Token(surface, pos) for surface, pos in tagged]
+    tokens, pos = [surface for surface, _ in tagged], [tag for _, tag in tagged]
     deps = [DepArc(h, d, r) for h, d, r in arcs]
     parsed = parse_bracketed_tree(tree) if isinstance(tree, str) else tree
-    return Sentence(sid, target, review, tokens, deps, parsed)
+    return Sentence(sid, target, review, tokens, pos, deps, parsed)
 
 
 def phrase_input(vocab, sentence, phrase):
     """The classifier input of a phrase: its whole sentence with the
     phrase's covering span marked."""
-    return ClassifierInput(token_ids(vocab, [t.surface for t in sentence.tokens]), phrase_span(phrase))
+    return ClassifierInput(token_ids(vocab, sentence.tokens), phrase_span(phrase))
 
 
 def rewrite_arrayfile(path, edit):
@@ -183,7 +183,7 @@ def naive_train_epoch(space, corpus, schema, config, rng, norm_check=False):
     sents = []
     counts = np.zeros(len(space.words))
     for sent in corpus:
-        ids = [space.word_id(t.surface) for t in sent.tokens]
+        ids = [space.word_id(t) for t in sent.tokens]
         ids = np.asarray([i for i in ids if i is not None], dtype=np.intp)
         np.add.at(counts, ids, 1.0)
         ci, cj = naive_window_pairs(len(ids), config.window)
@@ -261,7 +261,7 @@ def naive_encode_phrases(model, vocab, sentences, phrases):
     for phrase in phrases:
         sid = phrase.sentence_id
         if sid not in hidden:
-            hidden[sid] = naive_attend(model, token_ids(vocab, [t.surface for t in sentences[sid].tokens]))[-1]
+            hidden[sid] = naive_attend(model, token_ids(vocab, sentences[sid].tokens))[-1]
         s, e = phrase_span(phrase)
         pooled.append(hidden[sid][s:e].mean(axis=0))
         ys.append(naive_head(model, pooled[-1]))
