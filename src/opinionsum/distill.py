@@ -109,18 +109,22 @@ class PseudoPhraseLabel:
         return cls(_known_id(obj["id"], phrase_ids, "phrase"), outcome, distribution)
 
 
-def select_topk(space: SphereSpace, sentence_ids: list[str], k: int) -> list[list[str]]:
-    """Per category, the k highest-scoring sentence ids (descending score,
-    ties broken by ascending id).  Clamps to the corpus size."""
+def _ranked(space: SphereSpace, sentence_ids: list[str], k: int) -> tuple[np.ndarray, list[list[int]]]:
+    """The (n, C) sentence-category scores, each row the bits of that
+    sentence's embedding.sentence_scores, and per category the rows of the
+    k highest scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = [space.sent_row(sid) for sid in sentence_ids]
-    scores = space.sent_vecs[rows] @ space.cat_vecs.T  # (n, C)
-    out = []
-    for ci in range(scores.shape[1]):
-        ranked = sorted(zip(sentence_ids, scores[:, ci]), key=lambda t: (-t[1], t[0]))
-        out.append([sid for sid, _ in ranked[:k]])
-    return out
+    scores = (space.sent_vecs[rows][:, None, :] @ space.cat_vecs.T)[:, 0]
+    n, n_categories = scores.shape
+    return scores, [sorted(range(n), key=lambda r: (-scores[r, ci], sentence_ids[r]))[:k] for ci in range(n_categories)]
+
+
+def select_topk(space: SphereSpace, sentence_ids: list[str], k: int) -> list[list[str]]:
+    """Per category, the k highest-scoring sentence ids (descending score,
+    ties broken by ascending id).  Clamps to the corpus size."""
+    return [[sentence_ids[r] for r in top] for top in _ranked(space, sentence_ids, k)[1]]
 
 
 def soften(scores: np.ndarray, alpha: float) -> np.ndarray:
@@ -171,10 +175,5 @@ def pseudo_sentence_labels(
     several categories appears once per selecting category (the distribution
     is the same; duplication only reweights training)."""
     config.validate()
-    per_cat = select_topk(space, sentence_ids, config.top_k)
-    scores = {sid: space.sent_vecs[space.sent_row(sid)] @ space.cat_vecs.T for sid in sentence_ids}
-    labels = []
-    for selected in per_cat:
-        for sid in selected:
-            labels.append(PseudoSentenceLabel(sid, soften(scores[sid], config.alpha)))
-    return labels
+    scores, per_cat = _ranked(space, sentence_ids, config.top_k)
+    return [PseudoSentenceLabel(sentence_ids[r], soften(scores[r], config.alpha)) for top in per_cat for r in top]

@@ -15,10 +15,11 @@ from opinionsum.distill import (
     PseudoSentenceLabel,
     distill_loss,
     joint_agreement_label,
+    pseudo_sentence_labels,
     select_topk,
     soften,
 )
-from opinionsum.embedding import SphereSpace
+from opinionsum.embedding import SphereSpace, sentence_scores
 
 
 def _space_with_scores(scores: np.ndarray) -> tuple[SphereSpace, list[str]]:
@@ -69,6 +70,26 @@ class TestSelectTopK:
                     sid for sid, _ in sorted(zip(ids, scores[:, ci]), key=lambda t: (-t[1], t[0]))
                 ][:k]
                 assert got[ci] == oracle
+
+    def test_ranking_and_soft_labels_use_each_sentences_own_scores(self):
+        """Both rank by, and soften, the bits of each sentence's own
+        sentence_scores."""
+        rng = np.random.default_rng(4)
+        n, dim, c = 60, 16, 3
+        sent_vecs, cat_vecs = rng.normal(size=(n, dim)), rng.normal(size=(c, dim))
+        sent_vecs /= np.linalg.norm(sent_vecs, axis=1, keepdims=True)
+        cat_vecs /= np.linalg.norm(cat_vecs, axis=1, keepdims=True)
+        ids = [f"s{i}" for i in rng.permutation(n)]
+        space = SphereSpace(dim, [], ids, ["a", "b", "c"], np.empty((0, dim)), sent_vecs, cat_vecs)
+        own = {sid: sentence_scores(space, sid) for sid in ids}
+        config = DistillConfig(top_k=7, alpha=3.0)
+        per_cat = select_topk(space, ids, config.top_k)
+        for ci, selected in enumerate(per_cat):
+            assert selected == sorted(ids, key=lambda sid: (-own[sid][ci], sid))[: config.top_k]
+        labels = pseudo_sentence_labels(space, ids, config)
+        assert [label.sentence_id for label in labels] == [sid for selected in per_cat for sid in selected]
+        for label in labels:
+            assert np.array_equal(label.distribution, soften(own[label.sentence_id], config.alpha))
 
 
 class TestSoften:
